@@ -1,6 +1,6 @@
 // Multi-width sweep throughput: wall clock of explore_link_widths() (the
-// sweep-structured evaluation — partitions / floorplan / candidate
-// structures shared across the width sweep, see vinoc/core/width_eval.hpp)
+// floorplan, partitions, flow order, candidate enumeration and routing
+// geometry shared across the width sweep, see vinoc/core/explore.hpp)
 // versus the LEGACY schedule of one independent synthesize() per width, on
 // the seed benchmarks at the default width set.
 //
@@ -10,10 +10,8 @@
 // mismatch — the speedup number is only meaningful if the results are
 // bit-identical).
 //
-// A second A/B runs the FINE width grid (kFineWidths), where PR 4's
-// trace-level lockstep shared nothing: the certified_share_rate metric is
-// the CI floor for how much of that sweep the path-level route-equivalence
-// certificates and diverged-lane cohorts now serve from shared structures.
+// A second A/B runs the FINE width grid (kFineWidths), the dense upper
+// width range, gated as speedup_fine.
 //
 // One JSON line between the BEGIN/END JSONL markers; the perf-smoke job
 // feeds it to tools/bench_check against bench/baseline.json (the
@@ -59,14 +57,8 @@ std::vector<Case> sweep_cases(bool quick) {
 
 const std::vector<int> kWidths = {16, 32, 64, 128};
 
-/// Dense upper-range width grid for the certificate measurement: adjacent
-/// widths snap to close (often overlapping) island frequencies, so their
-/// Dijkstras differ in near-tie flips and genuine reuse-vs-open shifts —
-/// exactly the regime the path-level route-equivalence certificates and
-/// diverged-lane cohorts target. Under PR 4's trace-level lockstep every
-/// one of these (candidate, width) results fell back to solo evaluation
-/// (shared rate 0); the certified_share_rate metric gates how much of the
-/// fine sweep the certificates now serve from shared structures.
+/// Dense upper-range width grid: adjacent widths snap to close (often
+/// overlapping) island frequencies and mostly share one structural class.
 const std::vector<int> kFineWidths = {128, 160, 192, 256};
 
 /// The pre-PR sweep schedule: one full synthesize() per width over one
@@ -182,9 +174,7 @@ void print_table(bool quick) {
               legacy_total.median, shared_total.median,
               legacy_total.median / shared_total.median);
 
-  // Sharing observability on the aggregate case list (default width set).
-  long long shared_evals = 0;
-  long long fallback_evals = 0;
+  // Sweep observability on the aggregate case list (default width set).
   long long partition_hits = 0;
   int peak_buffered = 0;
   for (const Case& c : cases) {
@@ -192,27 +182,18 @@ void print_table(bool quick) {
     core::EvalScratchPool scratch;
     core::WidthSetStats st;
     (void)core::synthesize_width_set(c.spec, kWidths, options, pool, scratch, &st);
-    shared_evals += st.shared_evals;
-    fallback_evals += st.fallback_evals;
     partition_hits += st.partition_cache_hits;
     peak_buffered = std::max(peak_buffered, st.peak_buffered_outcomes);
   }
 
-  // Certificate measurement: the fine width grid (see kFineWidths), where
-  // PR 4's trace-level lockstep shared NOTHING. A/B timed and fingerprint-
-  // gated like the main sweep; the sharing stats feed the gated
-  // certified_share_rate metric.
+  // The fine width grid (see kFineWidths), A/B timed and fingerprint-gated
+  // like the main sweep.
   std::vector<bench::RobustStats> fine_shared_parts;
   std::vector<bench::RobustStats> fine_legacy_parts;
-  long long fine_shared = 0;
-  long long fine_certified = 0;
-  long long fine_accepts = 0;
-  long long fine_cohort = 0;
-  long long fine_fallback = 0;
-  std::printf("\nfine width grid {128,160,192,256} (certificate regime):\n");
-  std::printf("%-10s %-26s %-26s %-10s %-22s\n", "case",
+  std::printf("\nfine width grid {128,160,192,256}:\n");
+  std::printf("%-10s %-26s %-26s %-10s %-8s\n", "case",
               "legacy s (min/med/max)", "shared s (min/med/max)", "speedup",
-              "shared/cert/cohort/solo");
+              "classes");
   for (const Case& c : cases) {
     const AbResult ab = timed_ab(runner, c, kFineWidths, options, "fine grid");
     prov.add(ab.shared);
@@ -224,30 +205,17 @@ void print_table(bool quick) {
     core::WidthSetStats st;
     (void)core::synthesize_width_set(c.spec, kFineWidths, options, pool,
                                      scratch, &st);
-    fine_shared += st.shared_evals;
-    fine_certified += st.certified_evals;
-    fine_accepts += st.certificate_accepts;
-    fine_cohort += st.cohort_evals;
-    fine_fallback += st.fallback_evals;
     peak_buffered = std::max(peak_buffered, st.peak_buffered_outcomes);
-    std::printf("%-10s %-26s %-26s %-10.2f %d/%d/%d/%d\n", c.name.c_str(),
+    std::printf("%-10s %-26s %-26s %-10.2f %d\n", c.name.c_str(),
                 bench::time_range(ab.legacy.stats).c_str(),
                 bench::time_range(ab.shared.stats).c_str(),
                 ab.legacy.stats.median / ab.shared.stats.median,
-                st.shared_evals, st.certified_evals, st.cohort_evals,
-                st.fallback_evals - st.cohort_evals);
+                st.width_classes);
   }
   const bench::RobustStats fine_shared_total =
       bench::sum_stats(fine_shared_parts);
   const bench::RobustStats fine_legacy_total =
       bench::sum_stats(fine_legacy_parts);
-  const long long fine_followers = fine_shared + fine_fallback;
-  const double certified_share_rate =
-      fine_followers > 0 ? static_cast<double>(fine_shared) /
-                               static_cast<double>(fine_followers)
-                         : 0.0;
-  std::printf("fine-grid shared rate: %.3f (%lld certificate accepts)\n",
-              certified_share_rate, fine_accepts);
 
   std::printf("\n--- BEGIN JSONL (width_sweep) ---\n");
   const int reps_floor = std::min(shared_total.n, legacy_total.n);
@@ -261,27 +229,13 @@ void print_table(bool quick) {
   bench::append_metric(
       w, "width_cands_per_s",
       bench::rate_from_time(shared_total, static_cast<double>(evals_total)));
-  // The sharing counters are deterministic at threads=1 (MAD 0 by
-  // construction); gating them still catches a sharing-machinery change.
-  bench::append_metric(
-      w, "shared_evals",
-      bench::exact_stat(static_cast<double>(shared_evals), reps_floor));
-  bench::append_metric(
-      w, "fallback_evals",
-      bench::exact_stat(static_cast<double>(fallback_evals), reps_floor));
+  // The counters are deterministic at threads=1 (MAD 0 by construction);
+  // gating them still catches a change in what the sweep shares.
   bench::append_metric(
       w, "partition_cache_hits",
       bench::exact_stat(static_cast<double>(partition_hits), reps_floor));
   bench::append_metric(w, "speedup_fine",
                        bench::ratio_of(fine_legacy_total, fine_shared_total));
-  bench::append_metric(w, "certified_share_rate",
-                       bench::exact_stat(certified_share_rate, reps_floor));
-  bench::append_metric(
-      w, "certificate_accepts",
-      bench::exact_stat(static_cast<double>(fine_accepts), reps_floor));
-  bench::append_metric(
-      w, "cohort_evals",
-      bench::exact_stat(static_cast<double>(fine_cohort), reps_floor));
   bench::append_metric(
       w, "peak_buffered_outcomes",
       bench::exact_stat(static_cast<double>(peak_buffered), reps_floor));

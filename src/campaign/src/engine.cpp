@@ -390,12 +390,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
     {
       obs::Registry& shard = metrics.local();
-      shard.add("width_shared_evals", set_stats.shared_evals);
-      shard.add("width_certified_evals", set_stats.certified_evals);
-      shard.add("width_cohort_evals", set_stats.cohort_evals);
-      shard.add("width_fallback_evals", set_stats.fallback_evals);
-      shard.add("certificate_accepts", set_stats.certificate_accepts);
-      shard.add("cohort_groups", set_stats.cohort_groups);
       // A memory bound, not a throughput counter: max-merged across shards.
       shard.record_max("peak_buffered_outcomes",
                        set_stats.peak_buffered_outcomes);
@@ -431,12 +425,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   out.metrics.add("total", static_cast<std::int64_t>(jobs.size()));
   out.metrics.add("structure_groups", acc.value("structure_groups"));
   out.metrics.add("structure_shared_jobs", acc.value("structure_shared_jobs"));
-  out.metrics.add("width_shared_evals", acc.value("width_shared_evals"));
-  out.metrics.add("width_certified_evals", acc.value("width_certified_evals"));
-  out.metrics.add("width_cohort_evals", acc.value("width_cohort_evals"));
-  out.metrics.add("width_fallback_evals", acc.value("width_fallback_evals"));
-  out.metrics.add("certificate_accepts", acc.value("certificate_accepts"));
-  out.metrics.add("cohort_groups", acc.value("cohort_groups"));
   out.metrics.record_max("peak_buffered_outcomes",
                          acc.value("peak_buffered_outcomes"));
   out.metrics.add("delta_candidates", acc.value("delta_candidates"));

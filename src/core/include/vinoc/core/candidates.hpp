@@ -170,7 +170,6 @@ struct EvalScratch {
   std::vector<double> min_flow_latency;   ///< per-flow latency floor
   std::vector<double> switch_bw_floor;    ///< per-switch endpoint traffic
   std::vector<double> switch_ebit_floor;  ///< per-switch energy/bit floor
-  std::vector<double> switch_freq;        ///< per-switch frequency table
   /// Delta-evaluation replay state (taint vector, hop-comparison buffer,
   /// per-candidate counters); the caller points its `ref` at the group's
   /// published DeltaReference before each delta evaluation.

@@ -1,15 +1,8 @@
-// Internal helpers of the candidate-evaluation stage, shared by the solo
-// path (candidates.cpp: evaluate_candidate) and the sweep-structured
-// multi-width path (width_eval.cpp: evaluate_candidate_widths). NOT part of
-// the public API — intra-module include only.
-//
-// Everything here is deterministic and, unless stated otherwise, width- and
-// frequency-invariant: the multi-width evaluator relies on these helpers
-// producing byte-for-byte the values the solo evaluator would produce at
-// any width of a structural class (see vinoc/core/width_eval.hpp).
+// Internal helper of the candidate stage shared by synthesize()
+// (candidates.cpp: compute_partitions) and the width sweep (explore.cpp:
+// the cross-width partition cache). NOT part of the public API —
+// intra-module include only.
 #pragma once
-
-#include <vector>
 
 #include "vinoc/core/candidates.hpp"
 #include "vinoc/core/vcg.hpp"
@@ -26,58 +19,5 @@ IslandPartition partition_island_mincut(const soc::SocSpec& spec,
                                         const VcgScaling& scaling,
                                         soc::IslandId island, int switch_count,
                                         int max_sw_size);
-
-/// Builds the switch set for one configuration: one switch per partition
-/// block at the traffic-weighted centroid of its cores, plus `k_int`
-/// intermediate switches around the chip centre. Width-invariant except the
-/// per-switch frequency fields, which are taken from ctx's island params.
-void build_switches(NocTopology& topo, const EvalContext& ctx,
-                    const std::vector<const IslandPartition*>& parts, int k_int,
-                    EvalScratch* scratch);
-
-/// Drops intermediate switches that ended up with no links and remaps all
-/// indices in place. Returns the number of intermediate switches kept.
-int compact_unused_intermediate(NocTopology& topo);
-
-/// Structural design signature for order-dependent deduplication.
-std::vector<int> design_signature(const NocTopology& topo);
-
-/// Moves each intermediate switch to the traffic-weighted centroid of its
-/// link partners and refreshes wire lengths.
-void refine_intermediate_positions(NocTopology& topo, const floorplan::Floorplan& fp,
-                                   const soc::SocSpec& spec, EvalScratch* scratch);
-
-/// Width-invariant parts of the pre-routing Pareto bound (see prune.hpp):
-/// the NI + NI-wire power prefix and the per-flow latency floors. The
-/// remaining term — the per-switch dynamic-power floor — depends on the
-/// island frequencies and is added per width by base_power_with_floor().
-struct BaseBoundParts {
-  double power_prefix_w = 0.0;         ///< ni_dynamic_base + NI-wire terms
-  double latency_sum_lb_cycles = 0.0;  ///< Σ min_flow_latency
-};
-
-/// Fills min_flow_latency / switch_bw_floor / switch_ebit_floor (indexed
-/// like topo.switches) and returns the width-invariant bound parts. The
-/// accumulation order matches the solo evaluator's compute_base_bound
-/// exactly, so base_power_with_floor(parts, ...) reproduces its power bound
-/// bit-for-bit.
-BaseBoundParts compute_base_bound_parts(const soc::SocSpec& spec,
-                                        const NocTopology& topo,
-                                        const models::Technology& tech,
-                                        double ni_dynamic_base_w,
-                                        const std::vector<double>& core_traffic,
-                                        std::vector<double>& min_flow_latency,
-                                        std::vector<double>& switch_bw_floor,
-                                        std::vector<double>& switch_ebit_floor);
-
-/// Completes the pre-routing power bound at a specific width's frequencies:
-/// prefix + Σ per-switch dynamic-power floor in switch order. `freq_of`
-/// gives each switch's frequency at the target width (pass the topology's
-/// own frequencies to reproduce the solo bound).
-double base_power_with_floor(const BaseBoundParts& parts,
-                             const NocTopology& topo,
-                             const models::Technology& tech,
-                             const std::vector<double>& switch_bw_floor,
-                             const std::vector<double>& freq_of);
 
 }  // namespace vinoc::core::detail

@@ -1,19 +1,18 @@
 #include "vinoc/core/explore.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "eval_internal.hpp"
 #include "vinoc/core/candidates.hpp"
 #include "vinoc/core/pareto.hpp"
 #include "vinoc/core/prune.hpp"
-#include "vinoc/core/width_eval.hpp"
 #include "vinoc/exec/ordered_drain.hpp"
 #include "vinoc/exec/parallel_for.hpp"
 #include "vinoc/obs/profile.hpp"
@@ -24,18 +23,36 @@ namespace vinoc::core {
 
 namespace {
 
-/// One structural class of the sweep: widths whose derived island params
-/// share max_sw_size / min_switches per island (frequencies may differ —
-/// the lockstep verifies those per decision). All of them enumerate the
-/// same candidates and read the same partition table.
+/// Structural profile of one width: widths with equal keys enumerate the
+/// same candidates and read the same partition table. Frequencies are
+/// deliberately excluded (they only affect routing, which runs per width);
+/// an infeasible width gets an empty key and must not be grouped.
+std::vector<int> width_class_key(
+    const std::vector<IslandNocParams>& island_params) {
+  std::vector<int> key;
+  key.reserve(2 * island_params.size());
+  for (const IslandNocParams& p : island_params) {
+    if (p.core_count > 0 && p.max_sw_size == 0) return {};  // infeasible
+    key.push_back(p.max_sw_size);
+    key.push_back(p.min_switches);
+  }
+  return key;
+}
+
+/// Derived inputs of one width of the sweep.
+struct WidthParams {
+  SynthesisOptions options;  ///< base options with link_width_bits set
+  std::vector<IslandNocParams> island_params;
+  IslandNocParams intermediate_params;
+};
+
+/// One structural class of the sweep: widths sharing width_class_key, so
+/// they enumerate the same candidates and read the same partition table.
 struct WidthClass {
   std::vector<std::size_t> width_indices;  ///< into the sweep's width list
   std::vector<CandidateConfig> candidates;
   PartitionTable partitions;
-  MultiWidthContext mctx;  ///< slices parallel to width_indices
-  /// Single-width contexts (one per slice) for the solo schedule once the
-  /// class's lockstep has been voted off (see below).
-  std::vector<MultiWidthContext> solo_ctx;
+  std::vector<EvalContext> ctx;  ///< per width, parallel to width_indices
 };
 
 }  // namespace
@@ -69,19 +86,19 @@ std::vector<WidthSweepEntry> synthesize_width_set(
   // classes (an empty class key marks an infeasible width — an NI link
   // exceeds attainable bandwidth — recorded exactly like the
   // InfeasibleWidthError path of synthesize()).
-  std::vector<WidthSlice> slices(widths.size());
+  std::vector<WidthParams> params(widths.size());
   std::vector<WidthClass> classes;
   std::map<std::vector<int>, std::size_t> class_of_key;
   for (std::size_t i = 0; i < widths.size(); ++i) {
-    WidthSlice& s = slices[i];
-    s.options = base_options;
-    s.options.link_width_bits = widths[i];
-    s.options.on_progress = nullptr;  // the sweep reports globally
-    s.island_params = derive_island_params(spec, base_options.tech, widths[i],
-                                           base_options.port_reserve);
-    s.intermediate_params =
-        derive_intermediate_params(s.island_params, base_options.tech);
-    const std::vector<int> key = width_class_key(s.island_params);
+    WidthParams& wp = params[i];
+    wp.options = base_options;
+    wp.options.link_width_bits = widths[i];
+    wp.options.on_progress = nullptr;  // the sweep reports globally
+    wp.island_params = derive_island_params(spec, base_options.tech, widths[i],
+                                            base_options.port_reserve);
+    wp.intermediate_params =
+        derive_intermediate_params(wp.island_params, base_options.tech);
+    const std::vector<int> key = width_class_key(wp.island_params);
     if (key.empty()) continue;  // infeasible width
     entries[i].feasible = true;
     const auto [it, inserted] = class_of_key.emplace(key, classes.size());
@@ -110,7 +127,7 @@ std::vector<WidthSweepEntry> synthesize_width_set(
   std::map<CacheKey, IslandPartition> partition_cache;
   int class_slots_total = 0;
   for (WidthClass& wc : classes) {
-    const WidthSlice& first = slices[wc.width_indices.front()];
+    const WidthParams& first = params[wc.width_indices.front()];
     wc.candidates = enumerate_candidates(spec, first.island_params, first.options);
     std::vector<PartitionKey> keys;
     for (const CandidateConfig& cand : wc.candidates) {
@@ -147,8 +164,10 @@ std::vector<WidthSweepEntry> synthesize_width_set(
           spec, base_options, scaling, island, k, max_sw);
     });
   }
+  // `classes` no longer grows, so its partition tables are stable and the
+  // per-width evaluation contexts may reference them.
   for (WidthClass& wc : classes) {
-    const WidthSlice& first = slices[wc.width_indices.front()];
+    const WidthParams& first = params[wc.width_indices.front()];
     for (std::size_t i = 0; i < wc.partitions.size(); ++i) {
       const PartitionKey& key = wc.partitions.key(i);
       const int max_sw =
@@ -156,36 +175,20 @@ std::vector<WidthSweepEntry> synthesize_width_set(
       wc.partitions.slot(i) =
           partition_cache.at(CacheKey{key.first, key.second, max_sw});
     }
-    wc.mctx.spec = &spec;
-    wc.mctx.floorplan = &plan;
-    wc.mctx.partitions = &wc.partitions;
-    wc.mctx.core_traffic = &traffic;
-    wc.mctx.flow_order = &flow_order;
-    wc.mctx.ni_dynamic_base_w = ni_base;
+    wc.ctx.reserve(wc.width_indices.size());
     for (const std::size_t wi : wc.width_indices) {
-      wc.mctx.slices.push_back(slices[wi]);
-    }
-    for (const std::size_t wi : wc.width_indices) {
-      MultiWidthContext solo;
-      solo.spec = wc.mctx.spec;
-      solo.floorplan = wc.mctx.floorplan;
-      solo.partitions = wc.mctx.partitions;
-      solo.core_traffic = wc.mctx.core_traffic;
-      solo.flow_order = wc.mctx.flow_order;
-      solo.ni_dynamic_base_w = wc.mctx.ni_dynamic_base_w;
-      solo.slices.push_back(slices[wi]);
-      wc.solo_ctx.push_back(std::move(solo));
+      wc.ctx.push_back(EvalContext{spec, plan, params[wi].island_params,
+                                   params[wi].intermediate_params,
+                                   wc.partitions, traffic, params[wi].options,
+                                   &flow_order, ni_base});
     }
   }
 
-  // Candidate-level delta evaluation on the sweep's SOLO schedule (one-width
-  // classes, and classes voted out of lockstep below): same group map as
-  // synthesize() — consecutive candidates sharing switches_per_island — with
-  // one reference slot per (class, width) since the recorded hop sequences
-  // are width-dependent (frequencies and capacities differ). Publication is
+  // Candidate-level delta evaluation: same group map as synthesize() —
+  // consecutive candidates sharing switches_per_island — with one reference
+  // slot per (class, width), since the recorded hop sequences are
+  // width-dependent (frequencies and capacities differ). Publication is
   // opportunistic; members without a published reference evaluate solo.
-  // Lockstep evaluations don't participate: they already share whole routed
-  // structures across widths.
   struct DeltaPlan {
     std::vector<int> group_of;   ///< per candidate of the class
     std::vector<char> leader;    ///< per candidate: first of its group
@@ -234,56 +237,44 @@ std::vector<WidthSweepEntry> synthesize_width_set(
         classes[c].candidates.size() * classes[c].width_indices.size();
   }
 
-  // Per-width shared Pareto bounds (prune snapshots for solo fallbacks and
-  // the every-width-dominated early abandon; the merge below restores exact
-  // sequential pruning semantics regardless of snapshot timing).
+  // Per-width shared Pareto bounds (prune snapshots; the merge below
+  // restores exact sequential pruning semantics regardless of snapshot
+  // timing). With pruning on, an evaluation whose snapshot is still empty
+  // runs against `empty_bound`, so its checkpoint lower bounds are recorded
+  // exactly as in synthesize().
   std::vector<SharedParetoBound> bounds(widths.size());
+  const ParetoBound empty_bound;
 
   // Per-width result shells plus STREAMING per-(class, width) merges: a
   // candidate whose enumeration-order predecessors have all merged is
   // merged and released as soon as it finishes, so the sweep buffers only
-  // the out-of-order window instead of every width's outcome list
-  // (ROADMAP (a); the high-water mark is reported in
-  // SynthesisStats::peak_buffered_outcomes).
+  // the out-of-order window instead of every width's outcome list (the
+  // high-water mark is reported in SynthesisStats::peak_buffered_outcomes).
   for (std::size_t i = 0; i < widths.size(); ++i) {
     if (!entries[i].feasible) continue;
     SynthesisResult& result = entries[i].result;
     result.floorplan = plan;
-    result.island_params = slices[i].island_params;
-    result.intermediate_params = slices[i].intermediate_params;
+    result.island_params = params[i].island_params;
+    result.intermediate_params = params[i].intermediate_params;
   }
   struct ClassMergeState {
     explicit ClassMergeState(std::size_t n_candidates) : queue(n_candidates) {}
     /// Per-candidate batches (one outcome per width of the class), merged
     /// in enumeration order as predecessors finish.
     exec::OrderedDrainQueue<std::vector<CandidateOutcome>> queue;
-    std::vector<EvalContext> replay_ctx;  ///< per width of the class
-    std::vector<OutcomeMerger> mergers;   ///< parallel to replay_ctx
+    std::vector<OutcomeMerger> mergers;  ///< per width of the class
   };
   std::vector<std::unique_ptr<ClassMergeState>> merge_states;
   merge_states.reserve(classes.size());
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    WidthClass& wc = classes[c];
+  for (WidthClass& wc : classes) {
     auto ms = std::make_unique<ClassMergeState>(wc.candidates.size());
-    ms->replay_ctx.reserve(wc.width_indices.size());
     ms->mergers.reserve(wc.width_indices.size());
-    for (const std::size_t wi : wc.width_indices) {
-      ms->replay_ctx.push_back(EvalContext{spec,
-                                           plan,
-                                           slices[wi].island_params,
-                                           slices[wi].intermediate_params,
-                                           wc.partitions,
-                                           traffic,
-                                           slices[wi].options,
-                                           &flow_order,
-                                           ni_base});
-    }
     for (std::size_t j = 0; j < wc.width_indices.size(); ++j) {
-      const EvalContext* rctx = &ms->replay_ctx[j];
+      const EvalContext* ctx = &wc.ctx[j];
       ms->mergers.emplace_back(
-          slices[wc.width_indices[j]].options,
-          [rctx, &wc, &scratch](std::size_t k, const ParetoBound& bound) {
-            return evaluate_candidate(*rctx, wc.candidates[k], &scratch.local(),
+          params[wc.width_indices[j]].options,
+          [ctx, &wc, &scratch](std::size_t k, const ParetoBound& bound) {
+            return evaluate_candidate(*ctx, wc.candidates[k], &scratch.local(),
                                       &bound);
           },
           entries[wc.width_indices[j]].result);
@@ -291,31 +282,17 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     merge_states.push_back(std::move(ms));
   }
 
-  // Sweep-global share counters accumulate in per-worker obs registry
-  // shards and merge deterministically after the pool joins; WidthSetStats
-  // is a derived view of the merged registry. The buffered-outcome
-  // high-water mark is the one exception: it is a RUNNING global sum (no
-  // per-shard decomposition exists), so it stays an atomic CAS-max and is
-  // folded into the registry afterwards.
-  obs::ShardedRegistry metrics;
+  // Per-width delta tallies (observability; scheduling-dependent, see
+  // synthesis.hpp) and the sweep-global buffered-outcome high-water mark, a
+  // RUNNING global sum kept as an atomic CAS-max.
   std::atomic<int> buffered_outcomes{0};
   std::atomic<int> peak_buffered{0};
-  // Per-width share-class attribution for SynthesisStats (observability;
-  // scheduling-dependent, see synthesis.hpp).
-  std::vector<std::atomic<int>> width_shared(widths.size());
-  std::vector<std::atomic<int>> width_certified(widths.size());
-  std::vector<std::atomic<int>> width_cohort(widths.size());
-  std::vector<std::atomic<int>> width_fallback(widths.size());
   std::vector<std::atomic<int>> delta_cands_w(widths.size());
   std::vector<std::atomic<long long>> delta_reused_w(widths.size());
   std::vector<std::atomic<long long>> delta_certified_w(widths.size());
   std::vector<std::atomic<long long>> delta_rerouted_w(widths.size());
   std::vector<std::atomic<int>> delta_rejects_w(widths.size());
   for (std::size_t i = 0; i < widths.size(); ++i) {
-    width_shared[i].store(0);
-    width_certified[i].store(0);
-    width_cohort[i].store(0);
-    width_fallback[i].store(0);
     delta_cands_w[i].store(0);
     delta_reused_w[i].store(0);
     delta_certified_w[i].store(0);
@@ -326,17 +303,6 @@ std::vector<WidthSweepEntry> synthesize_width_set(
   std::size_t progress_done = 0;
   const auto on_progress = base_options.on_progress;
 
-  // Adaptive lockstep: both evaluation paths are bit-identical, so WHICH
-  // one computes a candidate is a pure scheduling choice. The first few
-  // candidates of a class probe the lockstep; when every lane diverges on
-  // all of them (the widths' routing is systematically width-dependent —
-  // different snapped frequencies shift every opening cost), the class
-  // stops paying for lane verification and evaluates the remaining
-  // candidates solo per width.
-  constexpr std::size_t kLockstepProbes = 2;
-  std::vector<std::atomic<int>> lockstep_vote(classes.size());
-  for (auto& v : lockstep_vote) v.store(0);
-
   exec::parallel_for_each(pool, units.size(), [&](std::size_t u) {
     OBS_SPAN("sweep_unit");
     // Cancellation poll, once per (candidate, class) unit — the sweep's
@@ -346,133 +312,72 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     }
     const Unit unit = units[u];
     WidthClass& wc = classes[unit.class_id];
+    const CandidateConfig& cand = wc.candidates[unit.cand_id];
     EvalScratch& es = scratch.local();
-    // Per-width front snapshots (kept alive for the whole evaluation).
-    std::vector<std::shared_ptr<const ParetoBound>> snaps;
-    std::vector<const ParetoBound*> fronts(wc.width_indices.size(), nullptr);
-    if (base_options.prune) {
-      snaps.resize(wc.width_indices.size());
-      for (std::size_t j = 0; j < wc.width_indices.size(); ++j) {
-        snaps[j] = bounds[wc.width_indices[j]].snapshot();
-        fronts[j] = snaps[j].get();
+    DeltaPlan* dp = delta_plans[unit.class_id].get();
+    const int g = dp != nullptr ? dp->group_of[unit.cand_id] : 0;
+    // Route the candidate at each width of its class on its own. One
+    // geometry token spans all of them, so the hop/leakage matrices and
+    // class runs are built once (positions and admissibility are
+    // width-invariant). Per (class, width), the group reference's hop
+    // record replays for adjacent group members exactly as in synthesize().
+    std::vector<CandidateOutcome> outs(wc.width_indices.size());
+    es.router.geometry_token = ++es.router.geometry_token_counter;
+    for (std::size_t j = 0; j < wc.width_indices.size(); ++j) {
+      const std::size_t wi = wc.width_indices[j];
+      std::shared_ptr<const ParetoBound> snap;
+      const ParetoBound* bound = nullptr;
+      if (base_options.prune) {
+        snap = bounds[wi].snapshot();
+        bound = snap != nullptr ? snap.get() : &empty_bound;
       }
-    }
-    const bool probe = unit.cand_id < kLockstepProbes;
-    const bool lockstep =
-        wc.width_indices.size() > 1 &&
-        (probe || lockstep_vote[unit.class_id].load(std::memory_order_relaxed) >= 0);
-    WidthEvalCounters counters;
-    std::vector<CandidateOutcome> outs;
-    if (lockstep) {
-      outs = evaluate_candidate_widths(wc.mctx, wc.candidates[unit.cand_id], &es,
-                                       base_options.prune ? &fronts : nullptr,
-                                       &counters);
-    } else {
-      // Lockstep disabled for this class: evaluate each width solo through
-      // the same entry point. One geometry token spans all widths of the
-      // candidate, so the hop/leakage matrices and class runs are still
-      // built once (positions and admissibility are width-invariant).
-      // Solo evaluations compose with the delta evaluator: per (class,
-      // width), the group reference's hop record replays for adjacent group
-      // members exactly as in synthesize().
-      DeltaPlan* dp = delta_plans[unit.class_id].get();
-      const int g = dp != nullptr ? dp->group_of[unit.cand_id] : 0;
-      outs.resize(wc.mctx.slices.size());
-      es.router.geometry_token = ++es.router.geometry_token_counter;
-      for (std::size_t j = 0; j < wc.mctx.slices.size(); ++j) {
-        std::shared_ptr<DeltaReference> rec;
-        std::shared_ptr<const DeltaReference> ref;
-        DeltaRouteState* delta = nullptr;
-        const std::size_t slot =
-            j * (dp != nullptr ? dp->group_size.size() : 0) +
-            static_cast<std::size_t>(g);
-        if (dp != nullptr) {
-          if (dp->leader[unit.cand_id]) {
-            if (dp->group_size[g] > 1) rec = std::make_shared<DeltaReference>();
-          } else {
-            {
-              const std::lock_guard<std::mutex> lock(dp->mutex);
-              ref = dp->refs[slot];
-            }
-            if (ref != nullptr) {
-              es.delta.ref = ref.get();
-              delta = &es.delta;
-            }
+      std::shared_ptr<DeltaReference> rec;
+      std::shared_ptr<const DeltaReference> ref;
+      DeltaRouteState* delta = nullptr;
+      const std::size_t slot =
+          j * (dp != nullptr ? dp->group_size.size() : 0) +
+          static_cast<std::size_t>(g);
+      if (dp != nullptr) {
+        if (dp->leader[unit.cand_id]) {
+          if (dp->group_size[g] > 1) rec = std::make_shared<DeltaReference>();
+        } else {
+          {
+            const std::lock_guard<std::mutex> lock(dp->mutex);
+            ref = dp->refs[slot];
+          }
+          if (ref != nullptr) {
+            es.delta.ref = ref.get();
+            delta = &es.delta;
           }
         }
-        std::vector<const ParetoBound*> solo_front(1, fronts[j]);
-        std::vector<CandidateOutcome> one = evaluate_candidate_widths(
-            wc.solo_ctx[j], wc.candidates[unit.cand_id], &es,
-            base_options.prune ? &solo_front : nullptr, &counters, rec.get(),
-            delta);
-        outs[j] = std::move(one.front());
-        if (rec != nullptr && rec->valid) {
-          const std::lock_guard<std::mutex> lock(dp->mutex);
-          dp->refs[slot] = std::move(rec);
-        }
-        if (delta != nullptr) {
-          es.delta.ref = nullptr;  // `ref` dies with this width slot
-          if (delta->pnorm_matched) {
-            const std::size_t wi = wc.width_indices[j];
-            delta_cands_w[wi].fetch_add(1, std::memory_order_relaxed);
-            delta_reused_w[wi].fetch_add(delta->flows_reused,
-                                         std::memory_order_relaxed);
-            delta_certified_w[wi].fetch_add(delta->flows_certified,
-                                            std::memory_order_relaxed);
-            delta_rerouted_w[wi].fetch_add(delta->flows_rerouted,
-                                           std::memory_order_relaxed);
-            delta_rejects_w[wi].fetch_add(delta->cert_rejects,
+      }
+      outs[j] = evaluate_candidate(wc.ctx[j], cand, &es, bound, rec.get(), delta);
+      if (rec != nullptr && rec->valid) {
+        const std::lock_guard<std::mutex> lock(dp->mutex);
+        dp->refs[slot] = std::move(rec);
+      }
+      if (delta != nullptr) {
+        es.delta.ref = nullptr;  // `ref` dies with this width slot
+        if (delta->pnorm_matched) {
+          delta_cands_w[wi].fetch_add(1, std::memory_order_relaxed);
+          delta_reused_w[wi].fetch_add(delta->flows_reused,
+                                       std::memory_order_relaxed);
+          delta_certified_w[wi].fetch_add(delta->flows_certified,
                                           std::memory_order_relaxed);
-          }
+          delta_rerouted_w[wi].fetch_add(delta->flows_rerouted,
+                                         std::memory_order_relaxed);
+          delta_rejects_w[wi].fetch_add(delta->cert_rejects,
+                                        std::memory_order_relaxed);
         }
       }
-      es.router.geometry_token = 0;
-    }
-    if (probe && wc.width_indices.size() > 1) {
-      // Vote: a probe candidate where nothing was shared votes the class
-      // out of lockstep; one where sharing worked locks it in.
-      lockstep_vote[unit.class_id].fetch_add(counters.shared > 0 ? 1000 : -1,
-                                             std::memory_order_relaxed);
-    }
-    {
-      obs::Registry& shard = metrics.local();
-      shard.add("shared_evals", counters.shared);
-      shard.add("fallback_evals", counters.fallback);
-      shard.add("certified_evals", counters.certified);
-      shard.add("certificate_accepts", counters.certificate_accepts);
-      shard.add("cohort_evals", counters.cohort_lanes);
-      shard.add("cohort_groups", counters.cohort_groups);
-    }
-    if (lockstep) {
-      for (std::size_t j = 0; j < counters.slice_class.size(); ++j) {
-        const std::size_t wi = wc.width_indices[j];
-        switch (counters.slice_class[j]) {
-          case ShareClass::kCertified:
-            ++width_certified[wi];
-            [[fallthrough]];
-          case ShareClass::kShared:
-            ++width_shared[wi];
-            break;
-          case ShareClass::kCohort:
-            ++width_cohort[wi];
-            break;
-          case ShareClass::kSolo:
-            ++width_fallback[wi];
-            break;
-          case ShareClass::kLeader:
-            break;
-        }
+      const CandidateOutcome& o = outs[j];
+      if (base_options.prune && o.status == EvalStatus::kRouted &&
+          o.deadlock_free) {
+        bounds[wi].publish(o.point.metrics.noc_dynamic_w,
+                           o.point.metrics.avg_latency_cycles);
       }
     }
-    if (base_options.prune) {
-      for (std::size_t j = 0; j < outs.size(); ++j) {
-        const CandidateOutcome& o = outs[j];
-        if (o.status == EvalStatus::kRouted && o.deadlock_free) {
-          bounds[wc.width_indices[j]].publish(o.point.metrics.noc_dynamic_w,
-                                              o.point.metrics.avg_latency_cycles);
-        }
-      }
-    }
+    es.router.geometry_token = 0;
     {
       // Streaming merge: deposit this candidate's per-width batch, drain
       // every candidate whose predecessors are all merged (see
@@ -519,10 +424,6 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     if (!entries[i].feasible) continue;
     SynthesisStats& st = entries[i].result.stats;
     st.elapsed_seconds = elapsed;
-    st.width_shared = width_shared[i].load();
-    st.width_certified = width_certified[i].load();
-    st.width_cohort = width_cohort[i].load();
-    st.width_fallback = width_fallback[i].load();
     st.delta_candidates = delta_cands_w[i].load();
     st.delta_flows_reused = delta_reused_w[i].load();
     st.delta_flows_certified = delta_certified_w[i].load();
@@ -532,15 +433,7 @@ std::vector<WidthSweepEntry> synthesize_width_set(
   }
 
   if (stats != nullptr) {
-    const obs::Registry merged = metrics.merged();
     stats->width_classes = static_cast<int>(classes.size());
-    stats->shared_evals = static_cast<int>(merged.value("shared_evals"));
-    stats->fallback_evals = static_cast<int>(merged.value("fallback_evals"));
-    stats->certified_evals = static_cast<int>(merged.value("certified_evals"));
-    stats->certificate_accepts =
-        static_cast<int>(merged.value("certificate_accepts"));
-    stats->cohort_evals = static_cast<int>(merged.value("cohort_evals"));
-    stats->cohort_groups = static_cast<int>(merged.value("cohort_groups"));
     stats->partition_cache_hits =
         class_slots_total - static_cast<int>(partition_cache.size());
     stats->peak_buffered_outcomes = peak_buffered.load();
@@ -595,19 +488,12 @@ WidthSweepResult explore_link_widths(const soc::SocSpec& spec,
 obs::Registry WidthSetStats::to_registry() const {
   obs::Registry reg;
   reg.add("width_classes", width_classes);
-  reg.add("shared_evals", shared_evals);
-  reg.add("certified_evals", certified_evals);
-  reg.add("certificate_accepts", certificate_accepts);
-  reg.add("cohort_evals", cohort_evals);
-  reg.add("cohort_groups", cohort_groups);
-  reg.add("fallback_evals", fallback_evals);
   reg.record_max("peak_buffered_outcomes", peak_buffered_outcomes);
   reg.add("delta_candidates", delta_candidates);
   reg.add("delta_flows_reused", delta_flows_reused);
   reg.add("delta_flows_certified", delta_flows_certified);
   reg.add("delta_flows_rerouted", delta_flows_rerouted);
   reg.add("delta_cert_rejects", delta_cert_rejects);
-  reg.set_gauge("shared_rate", shared_rate());
   reg.set_gauge("delta_reuse_rate", delta_reuse_rate());
   return reg;
 }

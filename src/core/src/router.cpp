@@ -128,26 +128,14 @@ namespace {
 ///    IEEE addition is monotone, so the skipped relaxation provably would
 ///    not have updated anything.
 /// Both leave results bit-identical to the naive dense loop.
-///
-/// When `lanes` is non-empty the router additionally runs the WIDTH
-/// LOCKSTEP of the sweep-structured evaluation (see router.hpp): every
-/// routing decision the leader makes — extraction choice, relaxation
-/// outcome, reuse-vs-open selection, capacity/port/wire admissibility — is
-/// re-derived per lane from that lane's width/frequency tables with the
-/// lane's exact solo arithmetic (lane costs reuse the width-invariant part
-/// of the edge power and add their own opening surcharge in the solo
-/// operation order). The first mismatching outcome marks the lane
-/// diverged. Pruning bounds are never consulted in lockstep mode.
 class Router {
  public:
   Router(NocTopology& topo, const soc::SocSpec& spec, const RouterOptions& opts,
          RouterScratch& scratch, const RouteBound* bound,
-         std::vector<WidthLane>* lanes = nullptr, int pass_id = 1,
-         bool resume_state = false, DeltaReference* rec_out = nullptr,
-         DeltaRouteState* delta = nullptr)
+         DeltaReference* rec_out = nullptr, DeltaRouteState* delta = nullptr)
       : topo_(topo), spec_(spec), opts_(opts), scratch_(scratch), bound_(bound),
-        lanes_(lanes), rec_out_(rec_out), delta_(delta), sw_model_(opts.tech),
-        link_model_(opts.tech), fifo_model_(opts.tech), pass_id_(pass_id) {
+        rec_out_(rec_out), delta_(delta), sw_model_(opts.tech),
+        link_model_(opts.tech), fifo_model_(opts.tech) {
     const std::size_t n_sw = topo_.switches.size();
     n_ = n_sw;
     scratch_.ports_in.assign(n_sw, 0);
@@ -157,20 +145,6 @@ class Router {
       scratch_.ports_out[s] = scratch_.ports_in[s];
     }
     scratch_.link_at.assign(n_sw * n_sw, -1);
-    if (resume_state) {
-      // Reconstruct the incremental routing state a from-scratch run would
-      // hold after opening topo's links in order: port counters, the
-      // latest-link lookup (a later parallel link overwrites the earlier
-      // one, exactly like open_link did), crossbar-energy caches.
-      for (std::size_t l = 0; l < topo_.links.size(); ++l) {
-        const TopLink& link = topo_.links[l];
-        ++scratch_.ports_out[static_cast<std::size_t>(link.src_switch)];
-        ++scratch_.ports_in[static_cast<std::size_t>(link.dst_switch)];
-        scratch_.link_at[static_cast<std::size_t>(link.src_switch) * n_sw +
-                         static_cast<std::size_t>(link.dst_switch)] =
-            static_cast<int>(l);
-      }
-    }
     // Power normalizer: opening a "typical" link (quarter-chip wire at the
     // design's peak flow bandwidth, with a FIFO).
     double max_bw = 0.0;
@@ -197,6 +171,7 @@ class Router {
     fifo_dyn_c_ = tech.fifo_energy_pj_per_bit * 1e-12;
     fifo_leak_w_ = tech.fifo_leakage_mw * 1e-3;
     idle_w_per_hz_ = tech.sw_idle_power_per_port_w_per_hz;
+    width_bits_ = static_cast<double>(opts_.link_width_bits);
     hop_lat_intra_ = 1.0 + tech.sw_pipeline_cycles;
     hop_lat_cross_ = static_cast<double>(tech.fifo_latency_cycles) +
                      tech.sw_pipeline_cycles;
@@ -224,13 +199,6 @@ class Router {
       lat_sum_lb_ = bound_->base_latency_sum_cycles;
       fifo_w_per_bw_ = opts_.tech.fifo_energy_pj_per_bit * 1e-12;
       link_w_per_bw_mm_ = opts_.tech.link_energy_pj_per_bit_mm * 1e-12;
-    }
-
-    if (lanes_ != nullptr) {
-      if (scratch_.lane_dist.size() < lanes_->size()) {
-        scratch_.lane_dist.resize(lanes_->size());
-        scratch_.lane_heap.resize(lanes_->size());
-      }
     }
 
     // Per-island contiguous index ranges, so each flow's Dijkstra can visit
@@ -295,12 +263,8 @@ class Router {
 
   [[nodiscard]] double p_norm() const { return p_norm_; }
 
-  RouteOutcome run(std::size_t start_pos = 0) {
-    if (start_pos == 0) {
-      topo_.routes.assign(spec_.flows.size(), FlowRoute{});
-    } else if (topo_.routes.size() != spec_.flows.size()) {
-      topo_.routes.resize(spec_.flows.size());
-    }
+  RouteOutcome run() {
+    topo_.routes.assign(spec_.flows.size(), FlowRoute{});
 
     // The order is a pure function of the spec, so sweep callers pass it
     // precomputed; direct callers fall back to sorting here.
@@ -317,10 +281,8 @@ class Router {
         spec_.flows.empty() ? 0.0 : 1.0 / static_cast<double>(spec_.flows.size());
 
     RouteOutcome outcome;
-    outcome.flows_routed = static_cast<int>(start_pos);
-    for (std::size_t pos = start_pos; pos < order->size(); ++pos) {
+    for (std::size_t pos = 0; pos < order->size(); ++pos) {
       const std::size_t f = (*order)[pos];
-      order_pos_ = pos;
       const bool ok = delta_apply_ && pos < delta_->ref->records.size()
                           ? delta_route_flow(pos, f, outcome)
                           : route_flow(f, outcome);
@@ -369,26 +331,35 @@ class Router {
     int link = -1;
   };
 
-  /// Reuse-vs-open selection for one admissible hop at ONE width — the
-  /// single definition of the width-dependent routing decision that the
-  /// leader, every lockstep lane and the certificate Dijkstra re-derive
-  /// over their own width/frequency/port tables. Certificate soundness
-  /// bit-depends on all three evaluating the identical expression chain
-  /// (same operations, same IEEE order), so it is shared, never copied.
-  /// `base_power` is the lazily computed width-invariant marginal power of
-  /// the hop (wire + downstream crossbar + FIFO traversal).
-  template <typename BasePowerFn>
-  VINOC_ALWAYS_INLINE HopChoice choose_hop(
-      double width_bits, double fu, double fv, int max_ports_u,
-      int max_ports_v, double wire_cap_u, bool cross, double len,
-      double latpart, double bw, int existing, std::size_t us, std::size_t vs,
-      BasePowerFn&& base_power) {
+  /// Width-invariant marginal power of carrying `bw` over a hop of length
+  /// `len` into switch `vs`: wire + downstream crossbar + FIFO traversal, in
+  /// the operation order of the naive path.
+  VINOC_ALWAYS_INLINE double base_power(std::size_t vs, bool cross, double len,
+                                        double bw) const {
+    double p = link_dyn_c_ * len * bw;
+    p += scratch_.ebit_of[vs] * bw;
+    if (cross) p += fifo_dyn_c_ * bw;
+    return p;
+  }
+
+  /// Reuse-vs-open selection for one admissible hop u -> v: reuse the
+  /// pair's latest link (`existing`, -1 = none) when it has residual
+  /// capacity, else open a new one if ports, capacity and (intra-island)
+  /// wire timing allow.
+  VINOC_ALWAYS_INLINE HopChoice choose_hop(std::size_t us, std::size_t vs,
+                                           double fu, double wire_cap_u,
+                                           bool cross, double len,
+                                           double latpart, double bw,
+                                           int existing) {
     HopChoice choice;
+    const double fv = scratch_.freq_of[vs];
     if (existing >= 0) {
       const TopLink& l = topo_.links[static_cast<std::size_t>(existing)];
-      const double cap = width_bits * std::min(fu, fv);
+      const double cap = width_bits_ * std::min(fu, fv);
       if (l.carried_bw_bits_per_s + bw <= cap + 1e-6) {
-        choice.cost = opts_.alpha_power * base_power() / p_norm_ + latpart;
+        choice.cost =
+            opts_.alpha_power * base_power(vs, cross, len, bw) / p_norm_ +
+            latpart;
         choice.link = existing;
         return choice;
       }
@@ -396,10 +367,10 @@ class Router {
     }
     // Opening needs a free out port on u and in port on v, enough
     // capacity, and (intra-island) a one-cycle wire.
-    bool ok = scratch_.ports_out[us] + 1 <= max_ports_u &&
-              scratch_.ports_in[vs] + 1 <= max_ports_v;
+    bool ok = scratch_.ports_out[us] + 1 <= opts_.max_ports[us] &&
+              scratch_.ports_in[vs] + 1 <= opts_.max_ports[vs];
     if (ok) {
-      const double cap = width_bits * std::min(fu, fv);
+      const double cap = width_bits_ * std::min(fu, fv);
       ok = !(bw > cap + 1e-6);
     }
     if (ok && opts_.enforce_wire_timing && !cross) {
@@ -408,24 +379,14 @@ class Router {
     if (ok) {
       // New ports clock on both sides; wires and (if crossing) a FIFO
       // leak. Same accumulation order as hop_power_w had.
-      double p = base_power();
+      double p = base_power(vs, cross, len, bw);
       p += idle_w_per_hz_ * (fu + fv);
-      p += link_leak_c_ * len * width_bits;
+      p += link_leak_c_ * len * width_bits_;
       if (cross) p += fifo_leak_w_;
       choice.cost = opts_.alpha_power * p / p_norm_ + latpart;
       choice.link = -1;
     }
     return choice;
-  }
-
-  /// Marks a lane width-dependent and snapshots the shared state (the
-  /// topology BEFORE the diverging flow — its links have not been
-  /// materialised yet) so the lane's fallback re-routes only the tail.
-  void diverge(WidthLane& lane) {
-    lane.diverged = true;
-    lane.resume_topo = topo_;
-    lane.resume_order_pos = static_cast<int>(order_pos_);
-    lane.resume_pass = pass_id_;
   }
 
   bool crossing(int a, int b) const {
@@ -451,7 +412,7 @@ class Router {
 
   /// Lazily builds (or returns) the admissible-hop CSR of one flow class.
   /// The class is width- and frequency-invariant, so it persists across both
-  /// routing passes and, in lockstep mode, every lane (see RoutingGeometry).
+  /// routing passes and every width of one candidate (see RoutingGeometry).
   RoutingGeometry::FlowClass& flow_class(soc::IslandId src_isl,
                                          soc::IslandId dst_isl) {
     RoutingGeometry& g = scratch_.geometry;
@@ -562,7 +523,7 @@ class Router {
   /// routing pass (it depends on this pass's width and frequencies).
   void build_floor_matrix() {
     floor_.assign(n_ * n_, 0.0);
-    const double w = static_cast<double>(opts_.link_width_bits);
+    const double w = width_bits_;
     const std::vector<double>& leak_len = scratch_.geometry.leak_len;
     for (std::size_t a = 0; a < n_; ++a) {
       const double fa = scratch_.freq_of[a];
@@ -630,23 +591,9 @@ class Router {
     heap.clear();
     heap.emplace_back(0.0, s_sw);
 
-    const std::size_t n_lanes = lanes_ != nullptr ? lanes_->size() : 0;
-    if (lane_dist_u_.size() < n_lanes) lane_dist_u_.resize(n_lanes, 0.0);
-    for (std::size_t k = 0; k < n_lanes; ++k) {
-      WidthLane& lane = (*lanes_)[k];
-      if (lane.diverged) continue;
-      lane.pending = false;  // every flow starts back in per-decision lockstep
-      scratch_.lane_dist[k].assign(n, kInf);
-      scratch_.lane_dist[k][static_cast<std::size_t>(s_sw)] = 0.0;
-      scratch_.lane_heap[k].clear();
-      scratch_.lane_heap[k].emplace_back(0.0, s_sw);
-    }
-
     const bool forbid = opts_.forbid_direct_cross;
-    const double width0 = static_cast<double>(opts_.link_width_bits);
     while (true) {
-      // Leader extraction: lazy-heap pop == dense-scan argmin (see class
-      // comment).
+      // Extraction: lazy-heap pop == dense-scan argmin (see class comment).
       int u = -1;
       double dist_u = 0.0;
       while (!heap.empty()) {
@@ -659,43 +606,10 @@ class Router {
         dist_u = du;
         break;
       }
-      // Lane extractions must select the same node from their own heaps; a
-      // lane whose solo run would extract a different node (or run dry /
-      // keep going when the leader does not) leaves the per-decision
-      // lockstep for THIS flow — the path-level certificate below decides
-      // whether the mismatch was a harmless near-tie flip or a genuine
-      // divergence. The popped key of a matching lane IS that lane's
-      // dist_u, saved before clobbering.
-      for (std::size_t k = 0; k < n_lanes; ++k) {
-        WidthLane& lane = (*lanes_)[k];
-        if (lane.diverged || lane.pending) continue;
-        std::vector<std::pair<double, int>>& lheap = scratch_.lane_heap[k];
-        std::vector<double>& ldist = scratch_.lane_dist[k];
-        int uk = -1;
-        while (!lheap.empty()) {
-          std::pop_heap(lheap.begin(), lheap.end(), heap_after);
-          const auto [dk, ck] = lheap.back();
-          lheap.pop_back();
-          const auto cs = static_cast<std::size_t>(ck);
-          if (dk != ldist[cs]) continue;
-          uk = ck;
-          lane_dist_u_[k] = dk;
-          break;
-        }
-        if (uk != u) lane.pending = true;
-      }
       if (u < 0) break;
       const auto us = static_cast<std::size_t>(u);
       if (u == d_sw) break;
       dist[us] = -kInf;  // done: stales heap entries, trips relax filters
-      bool lanes_active = false;
-      for (std::size_t k = 0; k < n_lanes; ++k) {
-        const WidthLane& lane = (*lanes_)[k];
-        if (!lane.diverged && !lane.pending) {
-          scratch_.lane_dist[k][us] = -kInf;
-          lanes_active = true;
-        }
-      }
 
       const double freq_u = scratch_.freq_of[us];
       const double wire_cap_u =
@@ -711,129 +625,30 @@ class Router {
         const bool cross = run.crossing != 0;
         const double latpart = cross ? lat_part_cross : lat_part_intra;
         const double lat_thresh = dist_u + latpart;
-      // One definition of the per-target relaxation, shared by the scalar
-      // loop (live lanes: the body must run even when the leader's filter
-      // skipped, with the leader's choice pinned to "no update") and the
-      // filtered solo loop below (only survivors reach it, lead_skip
-      // false). Force-inlined: a call per surviving target costs ~8% of
-      // the whole evaluation hot path (measured vs the pre-refactor loop).
-      auto process_target = [&](int v, bool lead_skip) VINOC_ALWAYS_INLINE {
-        const auto vs = static_cast<std::size_t>(v);
-        const int existing = link_row[vs];
-        const double len = hop_row[vs];
-        // Width-invariant part of the marginal power (wire + downstream
-        // crossbar + FIFO traversal), shared by the leader and every lane;
-        // computed lazily in the exact operation order of the naive path.
-        double p_base = -1.0;
-        auto base_power = [&]() {
-          if (p_base < 0.0) {
-            double p = link_dyn_c_ * len * bw;
-            p += scratch_.ebit_of[vs] * bw;
-            if (cross) p += fifo_dyn_c_ * bw;
-            p_base = p;
-          }
-          return p_base;
-        };
-
-        // Leader choice: reuse the existing link when it has residual
-        // capacity, else try to open a new one (see choose_hop).
-        double cost0 = kInf;
-        int link0 = -1;
-        if (!lead_skip) {
-          const HopChoice hc = choose_hop(
-              width0, freq_u, scratch_.freq_of[vs], opts_.max_ports[us],
-              opts_.max_ports[vs], wire_cap_u, cross, len, latpart, bw,
-              existing, us, vs, base_power);
-          cost0 = hc.cost;
-          link0 = hc.link;
-        }
-        const bool update0 = std::isfinite(cost0) && dist_u + cost0 < dist[vs];
-        if (update0) {
-          dist[vs] = dist_u + cost0;
-          pred[vs] = u;
-          pred_link[vs] = link0;
-          heap.emplace_back(dist[vs], v);
-          std::push_heap(heap.begin(), heap.end(), heap_after);
-        }
-
-        // Lanes: re-derive the same decision at each lane's width and
-        // frequencies with the lane's exact solo arithmetic; any outcome
-        // mismatch (update-or-not, or reuse-vs-open) drops the lane out of
-        // the per-decision lockstep for this flow (the certificate decides
-        // its fate once the leader's path is known).
-        for (std::size_t k = 0; k < n_lanes; ++k) {
-          WidthLane& lane = (*lanes_)[k];
-          if (lane.diverged || lane.pending) continue;
-          std::vector<double>& ldist = scratch_.lane_dist[k];
-          const double ldist_u = lane_dist_u_[k];
-          double costk = kInf;
-          int linkk = -1;
-          if (!(ldist_u + latpart >= ldist[vs])) {
-            const HopChoice hc = choose_hop(
-                static_cast<double>(lane.width_bits), lane.switch_freq[us],
-                lane.switch_freq[vs], lane.max_ports[us], lane.max_ports[vs],
-                lane.max_wire_len[us], cross, len, latpart, bw, existing, us,
-                vs, base_power);
-            costk = hc.cost;
-            linkk = hc.link;
-          }
-          const bool updatek =
-              std::isfinite(costk) && ldist_u + costk < ldist[vs];
-          if (updatek != update0 || (update0 && linkk != link0)) {
-            lane.pending = true;
-            continue;
-          }
-          if (updatek) {
-            ldist[vs] = ldist_u + costk;
-            scratch_.lane_heap[k].emplace_back(ldist[vs], v);
-            std::push_heap(scratch_.lane_heap[k].begin(),
-                           scratch_.lane_heap[k].end(), heap_after);
-          }
-        }
-      };
-
-      if (lanes_active) {
-        // Bit-exact early skips: the full cost is >= latpart, and when no
-        // link exists to reuse it is also >= the pair's opening floor
-        // (see build_floor_matrix); IEEE addition is monotone, so a
-        // filtered relaxation provably would not have updated the LEADER.
-        // The two thresholds also dispose of done nodes (dist == -inf).
-        // They prove nothing about a lane's own comparison (lane dists
-        // accumulate different width-dependent surcharges), so with live
-        // lanes the body still runs for EVERY target, with the leader's
-        // choice pinned to "no update" when its filter fires. The 4-wide
-        // path only batches the leader's two threshold comparisons (the
-        // same lanes as the solo scan below), so the lead_skip flags — and
-        // everything downstream — are bit-identical to the scalar loop's.
-        int v = run.lo;
-#if defined(VINOC_SIMD_VECTOR_EXT)
-        if (use_simd_) {
-          for (; v + simd::kWidth <= run.hi; v += simd::kWidth) {
-            const unsigned m = relax_survivors4(
-                &dist[static_cast<std::size_t>(v)],
-                &floor_row[static_cast<std::size_t>(v)],
-                &link_row[static_cast<std::size_t>(v)], lat_thresh, dist_u,
-                latpart);
-            for (int j = 0; j < simd::kWidth; ++j) {
-              process_target(v + j, ((m >> j) & 1u) == 0u);
-            }
-          }
-        }
-#endif
-        for (; v < run.hi; ++v) {
+        // The relaxation of one target that survived the filter below.
+        // Force-inlined: a call per surviving target costs ~8% of the whole
+        // evaluation hot path.
+        auto process_target = [&](int v) VINOC_ALWAYS_INLINE {
           const auto vs = static_cast<std::size_t>(v);
-          const bool lead_skip =
-              lat_thresh >= dist[vs] ||
-              (link_row[vs] < 0 &&
-               dist_u + (floor_row[vs] + latpart) >= dist[vs]);
-          process_target(v, lead_skip);
-        }
-      } else {
-        // Leader-only scan: the filter disposes of most targets without
-        // touching the body. The 4-wide path evaluates the SAME two
-        // threshold comparisons per lane (floors are compared, never
-        // accumulated — see simd.hpp), so the survivor set is bit-identical
-        // to the scalar tail loop's.
+          const HopChoice hc =
+              choose_hop(us, vs, freq_u, wire_cap_u, cross, hop_row[vs],
+                         latpart, bw, link_row[vs]);
+          if (std::isfinite(hc.cost) && dist_u + hc.cost < dist[vs]) {
+            dist[vs] = dist_u + hc.cost;
+            pred[vs] = u;
+            pred_link[vs] = hc.link;
+            heap.emplace_back(dist[vs], v);
+            std::push_heap(heap.begin(), heap.end(), heap_after);
+          }
+        };
+        // Bit-exact early skips: the full cost is >= latpart, and when no
+        // link exists to reuse it is also >= the pair's opening floor (see
+        // build_floor_matrix); IEEE addition is monotone, so a filtered
+        // relaxation provably would not have updated anything. The two
+        // thresholds also dispose of done nodes (dist == -inf). The 4-wide
+        // path evaluates the SAME two comparisons per lane (floors are
+        // compared, never accumulated — see simd.hpp), so the survivor set
+        // is bit-identical to the scalar tail loop's.
         int v = run.lo;
 #if defined(VINOC_SIMD_VECTOR_EXT)
         if (use_simd_) {
@@ -844,7 +659,7 @@ class Router {
                 &link_row[static_cast<std::size_t>(v)], lat_thresh, dist_u,
                 latpart);
             while (m != 0) {
-              process_target(v + __builtin_ctz(m), false);
+              process_target(v + __builtin_ctz(m));
               m &= m - 1;
             }
           }
@@ -852,58 +667,14 @@ class Router {
 #endif
         for (; v < run.hi; ++v) {
           const auto vs = static_cast<std::size_t>(v);
-          const bool lead_skip =
+          const bool skip =
               lat_thresh >= dist[vs] ||
               (link_row[vs] < 0 &&
                dist_u + (floor_row[vs] + latpart) >= dist[vs]);
-          if (!lead_skip) process_target(v, false);
+          if (!skip) process_target(v);
         }
-      }
       }
     }
-
-    // ---- Path-level route-equivalence certificates. A lane whose trace
-    // left the lockstep this flow re-runs the flow's Dijkstra with its OWN
-    // exact solo arithmetic and tie-breaks over the shared (proven-
-    // identical) prefix state; when its canonical path equals the leader's
-    // — same nodes, same reuse-vs-open choices — the topology mutation is
-    // identical and the lane re-locks. Runs before materialisation, so a
-    // rejection snapshots the pre-flow state. ----
-    if (n_lanes != 0) {
-      const bool leader_found =
-          std::isfinite(dist[static_cast<std::size_t>(d_sw)]);
-      for (std::size_t k = 0; k < n_lanes; ++k) {
-        WidthLane& lane = (*lanes_)[k];
-        if (lane.diverged || !lane.pending) continue;
-        lane.pending = false;
-        const bool lane_found = lane_cert_dijkstra(
-            lane, flow, s_sw, d_sw, fclass, lat_part_intra, lat_part_cross);
-        bool ok = lane_found == leader_found;
-        if (ok && leader_found) {
-          // Walk the leader's chain from the destination; at every node the
-          // lane must have recorded the same predecessor AND the same link
-          // choice. Each compared node is proven on the LANE's own path by
-          // induction (it was reached through the lane's pred links from
-          // d_sw), so no stale pred entry is ever trusted.
-          for (int v = d_sw; v != s_sw;) {
-            const auto vsz = static_cast<std::size_t>(v);
-            if (scratch_.cert_pred[vsz] != pred[vsz] ||
-                scratch_.cert_pred_link[vsz] != pred_link[vsz]) {
-              ok = false;
-              break;
-            }
-            v = pred[vsz];
-          }
-        }
-        if (!ok) {
-          diverge(lane);
-          continue;
-        }
-        lane.used_certificate = true;
-        ++lane.certificate_accepts;
-      }
-    }
-
     if (!std::isfinite(dist[static_cast<std::size_t>(d_sw)])) {
       outcome.failure_reason =
           "no admissible path for flow '" + flow.label + "'";
@@ -1079,8 +850,7 @@ class Router {
     if (intra && delta_->island_tainted[static_cast<std::size_t>(src_isl)] == 0) {
       if (cert_forced_) {
         // Route-equivalence certificate: the flow's own solo Dijkstra over
-        // the current state (route_flow IS that Dijkstra; it shares
-        // choose_hop with the width-lane certificates). Acceptance proves
+        // the current state (route_flow IS that Dijkstra). Acceptance proves
         // the replay would have been bit-identical; a rejection taints the
         // island and keeps the certified path, so results never depend on
         // the record being right.
@@ -1118,102 +888,6 @@ class Router {
       }
     }
     return true;
-  }
-
-  /// The certificate's Dijkstra: the CURRENT flow routed at `lane`'s width
-  /// and frequencies over the current shared topology state, with exactly
-  /// the algorithm (lazy-heap extraction, latency-part relaxation filter,
-  /// done-clobber, reuse-vs-open selection, IEEE operation order) a solo
-  /// run at that width would use — given the proven-identical prefix, the
-  /// resulting dist/pred/pred_link ARE the solo run's. The leader's
-  /// opening-floor filter is deliberately not replicated (its floors are
-  /// built for the leader's width): omitting a provably-no-op filter leaves
-  /// results bit-identical. Fills scratch_.cert_* and returns whether the
-  /// destination was reached.
-  bool lane_cert_dijkstra(const WidthLane& lane, const soc::Flow& flow,
-                          int s_sw, int d_sw,
-                          const RoutingGeometry::FlowClass& fclass,
-                          double lat_part_intra, double lat_part_cross) {
-    const std::size_t n = n_;
-    std::vector<double>& dist = scratch_.cert_dist;
-    std::vector<int>& pred = scratch_.cert_pred;
-    std::vector<int>& pred_link = scratch_.cert_pred_link;
-    std::vector<std::pair<double, int>>& heap = scratch_.cert_heap;
-    dist.assign(n, kInf);
-    if (pred.size() < n) {
-      pred.resize(n, -1);
-      pred_link.resize(n, -1);
-    }
-    dist[static_cast<std::size_t>(s_sw)] = 0.0;
-    heap.clear();
-    heap.emplace_back(0.0, s_sw);
-    auto heap_after = [](const std::pair<double, int>& a,
-                         const std::pair<double, int>& b) {
-      return a.first > b.first || (a.first == b.first && a.second > b.second);
-    };
-    const double bw = flow.bandwidth_bits_per_s;
-    const double widthk = static_cast<double>(lane.width_bits);
-    const bool forbid = opts_.forbid_direct_cross;
-    while (true) {
-      int u = -1;
-      double dist_u = 0.0;
-      while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), heap_after);
-        const auto [du, cand] = heap.back();
-        heap.pop_back();
-        if (du != dist[static_cast<std::size_t>(cand)]) continue;
-        u = cand;
-        dist_u = du;
-        break;
-      }
-      if (u < 0) break;
-      const auto us = static_cast<std::size_t>(u);
-      if (u == d_sw) break;
-      dist[us] = -kInf;
-
-      const double freq_u = lane.switch_freq[us];
-      const double wire_cap_u =
-          opts_.enforce_wire_timing ? lane.max_wire_len[us] : 0.0;
-      const double* hop_row = &scratch_.geometry.hop_len[us * n_];
-      const int* link_row = &scratch_.link_at[us * n_];
-      const int run_end = fclass.run_begin[us + 1];
-      for (int rr = fclass.run_begin[us]; rr < run_end; ++rr) {
-        const RoutingGeometry::HopRun& run =
-            fclass.runs[static_cast<std::size_t>(rr)];
-        if (forbid && run.direct_cross != 0) continue;
-        const bool cross = run.crossing != 0;
-        const double latpart = cross ? lat_part_cross : lat_part_intra;
-        const double lat_thresh = dist_u + latpart;
-        for (int v = run.lo; v < run.hi; ++v) {
-          const auto vs = static_cast<std::size_t>(v);
-          if (lat_thresh >= dist[vs]) continue;  // also disposes done nodes
-          const int existing = link_row[vs];
-          const double len = hop_row[vs];
-          double p_base = -1.0;
-          auto base_power = [&]() {
-            if (p_base < 0.0) {
-              double p = link_dyn_c_ * len * bw;
-              p += scratch_.ebit_of[vs] * bw;
-              if (cross) p += fifo_dyn_c_ * bw;
-              p_base = p;
-            }
-            return p_base;
-          };
-          const HopChoice hc = choose_hop(
-              widthk, freq_u, lane.switch_freq[vs], lane.max_ports[us],
-              lane.max_ports[vs], wire_cap_u, cross, len, latpart, bw,
-              existing, us, vs, base_power);
-          if (std::isfinite(hc.cost) && dist_u + hc.cost < dist[vs]) {
-            dist[vs] = dist_u + hc.cost;
-            pred[vs] = u;
-            pred_link[vs] = hc.link;
-            heap.emplace_back(dist[vs], v);
-            std::push_heap(heap.begin(), heap.end(), heap_after);
-          }
-        }
-      }
-    }
-    return std::isfinite(dist[static_cast<std::size_t>(d_sw)]);
   }
 
   /// Adds the sound, refine-stable part of this bandwidth increment to the
@@ -1263,7 +937,6 @@ class Router {
   const RouterOptions& opts_;
   RouterScratch& scratch_;
   const RouteBound* bound_ = nullptr;
-  std::vector<WidthLane>* lanes_ = nullptr;
   DeltaReference* rec_out_ = nullptr;  ///< recording observer (reference runs)
   DeltaRouteState* delta_ = nullptr;   ///< delta replay state (member runs)
   bool delta_apply_ = false;  ///< delta armed: reference valid, p_norm equal
@@ -1286,12 +959,10 @@ class Router {
   double fifo_dyn_c_ = 0.0;
   double fifo_leak_w_ = 0.0;
   double idle_w_per_hz_ = 0.0;
+  double width_bits_ = 0.0;
   double hop_lat_intra_ = 0.0;
   double hop_lat_cross_ = 0.0;
   std::vector<double> floor_;  ///< n x n opening-cost floors of this pass
-  std::vector<double> lane_dist_u_;  ///< per-lane dist of the extracted node
-  std::size_t order_pos_ = 0;        ///< current position in the flow order
-  int pass_id_ = 1;                  ///< 1 = greedy pass, 2 = retry pass
   // Pruning state; power_lb_ < 0 means pruning disabled for this pass.
   double power_lb_ = -1.0;
   double lat_sum_lb_ = 0.0;
@@ -1374,8 +1045,7 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
     // for intra-island flows, its pass 2) must be compared against. A
     // reference that fails or prunes mid-pass still leaves a usable
     // routed prefix.
-    Router router(topo, spec, options, sc, pass1_bound, nullptr, /*pass_id=*/1,
-                  /*resume_state=*/false, record, delta);
+    Router router(topo, spec, options, sc, pass1_bound, record, delta);
     if (record != nullptr) {
       record->p_norm = router.p_norm();
       record->valid = true;
@@ -1393,8 +1063,7 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
   topo = sc.fallback;
   RouterOptions retry = options;
   retry.forbid_direct_cross = true;
-  Router router(topo, spec, retry, sc, bound, nullptr, /*pass_id=*/2,
-                /*resume_state=*/false, nullptr, delta);
+  Router router(topo, spec, retry, sc, bound, nullptr, delta);
   RouteOutcome second = router.run();
   if (!second.success && !second.pruned) {
     // Report the greedy pass's diagnosis; it is usually more informative.
@@ -1403,102 +1072,6 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
     second.latency_violation = first.latency_violation;
   }
   return second;
-}
-
-RouteOutcome route_all_flows_multi(NocTopology& topo, const soc::SocSpec& spec,
-                                   const RouterOptions& options,
-                                   std::vector<WidthLane>& lanes,
-                                   RouterScratch* scratch, bool* pass2_ran,
-                                   RouteOutcome* pass1_failure) {
-  if (pass2_ran != nullptr) *pass2_ran = false;
-  if (options.max_ports.size() != topo.switches.size()) {
-    RouteOutcome out;
-    out.failure_reason = "RouterOptions::max_ports size mismatch";
-    return out;
-  }
-  RouterScratch local;
-  RouterScratch& sc = scratch != nullptr ? *scratch : local;
-  if (sc.geometry_token == 0 || sc.geometry_built_token != sc.geometry_token) {
-    prepare_geometry(sc.geometry, topo, spec.islands.size(),
-                     options.tech.link_leakage_mw_per_wire_mm * 1e-3);
-    sc.geometry_built_token = sc.geometry_token;
-  }
-
-  bool has_intermediate = false;
-  for (const SwitchInst& s : topo.switches) {
-    if (s.island == kIntermediateIsland) has_intermediate = true;
-  }
-  const bool fallback_possible = has_intermediate && !options.forbid_direct_cross;
-  if (fallback_possible) {
-    sc.fallback = topo;  // pristine copy for the retry pass
-  }
-  RouteOutcome first;
-  {
-    Router router(topo, spec, options, sc, nullptr, &lanes, /*pass_id=*/1);
-    first = router.run();
-    if (first.success || options.forbid_direct_cross) return first;
-  }
-  if (pass1_failure != nullptr) *pass1_failure = first;
-  if (!fallback_possible) return first;
-  // Leader pass 1 stranded a flow. Every still-locked lane is proven to
-  // strand the same flow (its decisions matched to the failure point), so
-  // all of them enter the intermediate-island retry pass together; lanes
-  // that diverged in pass 1 stay diverged.
-  topo = sc.fallback;
-  RouterOptions retry = options;
-  retry.forbid_direct_cross = true;
-  if (pass2_ran != nullptr) *pass2_ran = true;
-  Router router(topo, spec, retry, sc, nullptr, &lanes, /*pass_id=*/2);
-  RouteOutcome second = router.run();
-  if (!second.success) {
-    second.failure_reason = first.failure_reason;
-    second.failed_flow = first.failed_flow;
-    second.latency_violation = first.latency_violation;
-  }
-  return second;
-}
-
-RouteOutcome resume_route_flows(NocTopology& topo, const soc::SocSpec& spec,
-                                const RouterOptions& options,
-                                int resume_order_pos, RouterScratch* scratch) {
-  if (options.max_ports.size() != topo.switches.size()) {
-    RouteOutcome out;
-    out.failure_reason = "RouterOptions::max_ports size mismatch";
-    return out;
-  }
-  RouterScratch local;
-  RouterScratch& sc = scratch != nullptr ? *scratch : local;
-  if (sc.geometry_token == 0 || sc.geometry_built_token != sc.geometry_token) {
-    prepare_geometry(sc.geometry, topo, spec.islands.size(),
-                     options.tech.link_leakage_mw_per_wire_mm * 1e-3);
-    sc.geometry_built_token = sc.geometry_token;
-  }
-  Router router(topo, spec, options, sc, nullptr, nullptr,
-                options.forbid_direct_cross ? 2 : 1, /*resume_state=*/true);
-  return router.run(static_cast<std::size_t>(resume_order_pos));
-}
-
-RouteOutcome resume_route_flows_multi(NocTopology& topo,
-                                      const soc::SocSpec& spec,
-                                      const RouterOptions& options,
-                                      int resume_order_pos,
-                                      std::vector<WidthLane>& lanes,
-                                      RouterScratch* scratch) {
-  if (options.max_ports.size() != topo.switches.size()) {
-    RouteOutcome out;
-    out.failure_reason = "RouterOptions::max_ports size mismatch";
-    return out;
-  }
-  RouterScratch local;
-  RouterScratch& sc = scratch != nullptr ? *scratch : local;
-  if (sc.geometry_token == 0 || sc.geometry_built_token != sc.geometry_token) {
-    prepare_geometry(sc.geometry, topo, spec.islands.size(),
-                     options.tech.link_leakage_mw_per_wire_mm * 1e-3);
-    sc.geometry_built_token = sc.geometry_token;
-  }
-  Router router(topo, spec, options, sc, nullptr, &lanes,
-                options.forbid_direct_cross ? 2 : 1, /*resume_state=*/true);
-  return router.run(static_cast<std::size_t>(resume_order_pos));
 }
 
 }  // namespace vinoc::core

@@ -84,20 +84,32 @@ std::vector<std::string> SocSpec::validate() const {
       complain("core '" + c.name + "' references island " +
                std::to_string(c.island) + " out of range");
     }
-    if (c.width_mm <= 0.0 || c.height_mm <= 0.0) {
+    // Every numeric field must be finite: inf/nan pass the sign checks
+    // below and would poison the floorplan, partitioner and router.
+    if (!std::isfinite(c.width_mm) || !std::isfinite(c.height_mm)) {
+      complain("core '" + c.name + "' has non-finite dimensions");
+    } else if (c.width_mm <= 0.0 || c.height_mm <= 0.0) {
       complain("core '" + c.name + "' has non-positive dimensions");
     }
-    if (c.dynamic_power_w < 0.0 || c.leakage_power_w < 0.0) {
+    if (!std::isfinite(c.dynamic_power_w) || !std::isfinite(c.leakage_power_w)) {
+      complain("core '" + c.name + "' has non-finite power");
+    } else if (c.dynamic_power_w < 0.0 || c.leakage_power_w < 0.0) {
       complain("core '" + c.name + "' has negative power");
     }
-    if (c.clock_hz <= 0.0) complain("core '" + c.name + "' has non-positive clock");
+    if (!std::isfinite(c.clock_hz)) {
+      complain("core '" + c.name + "' has non-finite clock");
+    } else if (c.clock_hz <= 0.0) {
+      complain("core '" + c.name + "' has non-positive clock");
+    }
   }
 
   for (std::size_t i = 0; i < islands.size(); ++i) {
     if (islands[i].name.empty()) {
       complain("island " + std::to_string(i) + " has empty name");
     }
-    if (islands[i].vdd_v <= 0.0) {
+    if (!std::isfinite(islands[i].vdd_v)) {
+      complain("island '" + islands[i].name + "' has non-finite vdd");
+    } else if (islands[i].vdd_v <= 0.0) {
       complain("island '" + islands[i].name + "' has non-positive vdd");
     }
   }
@@ -113,10 +125,14 @@ std::vector<std::string> SocSpec::validate() const {
       complain("flow " + std::to_string(f) + " is a self-flow on core '" +
                cores[static_cast<std::size_t>(fl.src)].name + "'");
     }
-    if (fl.bandwidth_bits_per_s <= 0.0) {
+    if (!std::isfinite(fl.bandwidth_bits_per_s)) {
+      complain("flow " + std::to_string(f) + " has non-finite bandwidth");
+    } else if (fl.bandwidth_bits_per_s <= 0.0) {
       complain("flow " + std::to_string(f) + " has non-positive bandwidth");
     }
-    if (fl.max_latency_cycles <= 0.0) {
+    if (!std::isfinite(fl.max_latency_cycles)) {
+      complain("flow " + std::to_string(f) + " has non-finite latency budget");
+    } else if (fl.max_latency_cycles <= 0.0) {
       complain("flow " + std::to_string(f) + " has non-positive latency budget");
     }
   }
@@ -126,7 +142,8 @@ std::vector<std::string> SocSpec::validate() const {
     if (s.island_active.size() != islands.size()) {
       complain("scenario '" + s.name + "' island_active size mismatch");
     }
-    if (s.time_fraction < 0.0 || s.time_fraction > 1.0) {
+    if (!std::isfinite(s.time_fraction) || s.time_fraction < 0.0 ||
+        s.time_fraction > 1.0) {
       complain("scenario '" + s.name + "' has time fraction outside [0,1]");
     }
     fraction_sum += s.time_fraction;

@@ -342,7 +342,7 @@ TEST(BenchGate, ObservabilityFieldClassification) {
   // Rates are gate-able even though they end in "_s".
   EXPECT_FALSE(observability_field("eval_hotpath.candidates_per_s"));
   EXPECT_FALSE(observability_field("width_sweep.speedup_shared"));
-  EXPECT_FALSE(observability_field("width_sweep.certified_share_rate"));
+  EXPECT_FALSE(observability_field("eval_hotpath.delta_reuse_rate"));
 }
 
 TEST(BenchGate, LoadBaselineParsesAnnotations) {

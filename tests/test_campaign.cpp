@@ -472,12 +472,6 @@ TEST(CampaignEngine, ResumeSummarySerializationIsCanonical) {
       "total",
       "structure_groups",
       "structure_shared_jobs",
-      "width_shared_evals",
-      "width_certified_evals",
-      "width_cohort_evals",
-      "width_fallback_evals",
-      "certificate_accepts",
-      "cohort_groups",
       "peak_buffered_outcomes",
       "delta_candidates",
       "delta_flows_reused",

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "vinoc/core/synthesis.hpp"
 #include "vinoc/io/exports.hpp"
@@ -94,6 +95,33 @@ flow a a 100 10
 )";
   const ParseResult r = parse_soc_spec_string(dup);
   EXPECT_FALSE(r.ok);
+}
+
+TEST(SpecFormat, NonFiniteValuesFailValidation) {
+  // strtod accepts "inf" and "nan", so they parse; validation must reject
+  // them with a spec error instead of letting them reach synthesis.
+  const char* const kCases[][2] = {
+      {"core a cpu vi0 inf 1 10 5 100\ncore b cpu vi0 1 1 10 5 100\n"
+       "flow a b 100 10\n",
+       "non-finite dimensions"},
+      {"core a cpu vi0 1 1 10 5 100\ncore b cpu vi0 1 1 10 5 100\n"
+       "flow a b nan 10\n",
+       "non-finite bandwidth"},
+      {"core a cpu vi0 1 1 10 5 100\ncore b cpu vi0 1 1 10 5 100\n"
+       "flow a b 100 inf\n",
+       "non-finite latency budget"},
+  };
+  for (const auto& c : kCases) {
+    const std::string text =
+        std::string("soc nf\nisland vi0 1.0 always_on\n") + c[0];
+    const ParseResult r = parse_soc_spec_string(text);
+    EXPECT_FALSE(r.ok) << c[0];
+    bool flagged = false;
+    for (const ParseError& e : r.errors) {
+      flagged = flagged || e.message.find(c[1]) != std::string::npos;
+    }
+    EXPECT_TRUE(flagged) << c[0];
+  }
 }
 
 TEST(SpecFormat, MissingFileReported) {

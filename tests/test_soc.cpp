@@ -2,7 +2,9 @@
 // benchmark suite.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include "vinoc/soc/benchmarks.hpp"
 #include "vinoc/soc/islanding.hpp"
@@ -94,6 +96,67 @@ TEST(SocSpec, ScenarioValidation) {
   const auto problems = s.validate();
   EXPECT_GE(problems.size(), 2u);
 }
+
+/// One numeric spec field set to a non-finite value.
+struct NonFiniteField {
+  const char* name;
+  void (*set)(SocSpec&, double);
+  const char* expect;  ///< substring of the validation message
+};
+
+class NonFiniteFieldTest : public ::testing::TestWithParam<NonFiniteField> {};
+
+TEST_P(NonFiniteFieldTest, RejectedForInfAndNan) {
+  const NonFiniteField& field = GetParam();
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    SocSpec s = small_spec();
+    Scenario sc;
+    sc.name = "on";
+    sc.time_fraction = 0.5;
+    sc.island_active = {true, true};
+    s.scenarios.push_back(sc);
+    ASSERT_TRUE(s.validate().empty());
+    field.set(s, bad);
+    const auto problems = s.validate();
+    bool flagged = false;
+    for (const std::string& p : problems) {
+      flagged = flagged || p.find(field.expect) != std::string::npos;
+    }
+    EXPECT_TRUE(flagged) << field.name << " = " << bad;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, NonFiniteFieldTest,
+    ::testing::Values(
+        NonFiniteField{"core_width", [](SocSpec& s, double v) { s.cores[0].width_mm = v; },
+                       "non-finite dimensions"},
+        NonFiniteField{"core_height", [](SocSpec& s, double v) { s.cores[0].height_mm = v; },
+                       "non-finite dimensions"},
+        NonFiniteField{"core_dynamic_power",
+                       [](SocSpec& s, double v) { s.cores[0].dynamic_power_w = v; },
+                       "non-finite power"},
+        NonFiniteField{"core_leakage_power",
+                       [](SocSpec& s, double v) { s.cores[0].leakage_power_w = v; },
+                       "non-finite power"},
+        NonFiniteField{"core_clock", [](SocSpec& s, double v) { s.cores[0].clock_hz = v; },
+                       "non-finite clock"},
+        NonFiniteField{"island_vdd", [](SocSpec& s, double v) { s.islands[1].vdd_v = v; },
+                       "non-finite vdd"},
+        NonFiniteField{"flow_bandwidth",
+                       [](SocSpec& s, double v) { s.flows[0].bandwidth_bits_per_s = v; },
+                       "non-finite bandwidth"},
+        NonFiniteField{"flow_latency",
+                       [](SocSpec& s, double v) { s.flows[0].max_latency_cycles = v; },
+                       "non-finite latency budget"},
+        NonFiniteField{"scenario_time_fraction",
+                       [](SocSpec& s, double v) { s.scenarios[0].time_fraction = v; },
+                       "time fraction outside [0,1]"}),
+    [](const ::testing::TestParamInfo<NonFiniteField>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(SocSpec, ScenarioGatingAlwaysOnIslandFlagged) {
   SocSpec s = small_spec();

@@ -1,16 +1,13 @@
-// Sweep-structured evaluation (the two-phase width sweep): bit-identity of
-// explore_link_widths() / synthesize_width_set() against per-width
-// synthesize() for every thread count and both prune settings, sound
-// fallback when routing is width-dependent, true structure sharing when the
-// widths' derived frequencies coincide, path-level route-equivalence
-// certificates (near-tie trace flips share; genuine divergences don't),
-// same-decision divergence cohorts, SIMD-vs-scalar relaxation-filter
-// bit-identity, the streaming per-width merge's buffer cap, sweep-global
-// progress reporting, and the flat PartitionTable container.
+// The width sweep: bit-identity of explore_link_widths() against per-width
+// synthesize() for every thread count and both prune settings, SIMD-vs-
+// scalar relaxation-filter bit-identity, the streaming per-width merge's
+// buffer cap, the cross-width partition cache, sweep-global progress
+// reporting, and the flat PartitionTable container.
 #include <gtest/gtest.h>
 
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "vinoc/core/router.hpp"
@@ -19,7 +16,6 @@
 #include "vinoc/core/candidates.hpp"
 #include "vinoc/core/explore.hpp"
 #include "vinoc/core/synthesis.hpp"
-#include "vinoc/core/width_eval.hpp"
 #include "vinoc/exec/thread_pool.hpp"
 #include "vinoc/soc/benchmarks.hpp"
 #include "vinoc/soc/islanding.hpp"
@@ -37,9 +33,8 @@ soc::SocSpec multi_island_spec(int cores = 16, int islands = 4) {
 }
 
 /// Spec whose island frequencies snap to the SAME grid point at every
-/// sweep width (bandwidths far below the grid floor), so the lockstep's
-/// per-decision verification can actually succeed and structures are
-/// genuinely shared across widths.
+/// sweep width (bandwidths far below the grid floor), so every width of a
+/// candidate routes over identical frequencies.
 soc::SocSpec low_bandwidth_spec() {
   soc::SocSpec spec = multi_island_spec();
   for (soc::Flow& f : spec.flows) f.bandwidth_bits_per_s /= 512.0;
@@ -61,159 +56,63 @@ std::uint64_t solo_fp(const soc::SocSpec& spec, SynthesisOptions opt, int width)
 }
 
 TEST(WidthSweep, BitIdenticalToPerWidthSynthesizeForThreadsAndPrune) {
-  // Two specs: one whose widths diverge (fallback/resume path) and one
-  // whose frequencies coincide (shared-materialisation/replay path), so
-  // the threads x prune matrix covers BOTH evaluation paths.
-  for (const soc::SocSpec& spec :
-       {multi_island_spec(12, 3), low_bandwidth_spec()}) {
-  const std::vector<int> widths = {8, 16, 32, 64, 128};
-  for (const bool prune : {true, false}) {
-    // The solo reference is thread-count independent (synthesize()'s
-    // guarantee, enforced elsewhere); compute it once at threads == 1.
-    SynthesisOptions ref_opt;
-    ref_opt.threads = 1;
-    ref_opt.prune = prune;
-    std::vector<std::uint64_t> ref;
-    for (const int w : widths) ref.push_back(solo_fp(spec, ref_opt, w));
+  // Specs and width sets chosen to cover the regimes a sweep meets:
+  // widths whose frequencies differ (every width routes differently) and
+  // coincide (identical routing across widths), coarse and fine grids, and
+  // adjacent widths whose routes differ only in near-tie choices.
+  const soc::Benchmark d24 = soc::make_d24_imaging_soc();
+  const soc::Benchmark d26 = soc::make_d26_media_soc();
+  const soc::SocSpec d24_l5 = soc::with_logical_islands(d24.soc, 5, d24.use_cases);
+  const soc::SocSpec d26_l4 = soc::with_logical_islands(d26.soc, 4, d26.use_cases);
+  struct Case {
+    std::string name;
+    soc::SocSpec spec;
+    std::vector<int> widths;
+  };
+  const std::vector<Case> cases = {
+      {"synthetic16/l3", multi_island_spec(12, 3), {8, 16, 32, 64, 128}},
+      {"low-bandwidth", low_bandwidth_spec(), {8, 16, 32, 64, 128}},
+      {"low-bandwidth", low_bandwidth_spec(), {32, 64, 128}},
+      {"d26/l4", d26_l4, {32, 64, 128}},
+      {"d26/l4", d26_l4, {128, 160, 192, 256}},
+      {"d24/l5", d24_l5, {128, 160}},
+  };
+  for (const Case& c : cases) {
+    for (const bool prune : {true, false}) {
+      // The solo reference is thread-count independent (synthesize()'s
+      // guarantee, enforced elsewhere); compute it once at threads == 1.
+      SynthesisOptions ref_opt;
+      ref_opt.threads = 1;
+      ref_opt.prune = prune;
+      std::vector<std::uint64_t> ref;
+      for (const int w : c.widths) ref.push_back(solo_fp(c.spec, ref_opt, w));
 
-    for (const int threads : {1, 4}) {
-      SynthesisOptions opt;
-      opt.threads = threads;
-      opt.prune = prune;
-      const WidthSweepResult sweep = explore_link_widths(spec, widths, opt);
-      ASSERT_EQ(sweep.entries.size(), widths.size());
-      for (std::size_t i = 0; i < widths.size(); ++i) {
-        const WidthSweepEntry& e = sweep.entries[i];
-        EXPECT_EQ(e.width_bits, widths[i]);
-        if (ref[i] == 0) {
-          EXPECT_FALSE(e.feasible) << "width " << widths[i];
-        } else {
-          ASSERT_TRUE(e.feasible) << "width " << widths[i];
-          EXPECT_EQ(fp(e.result), ref[i])
-              << "width " << widths[i] << " threads " << threads << " prune "
-              << prune;
+      for (const int threads : {1, 4}) {
+        SynthesisOptions opt;
+        opt.threads = threads;
+        opt.prune = prune;
+        const WidthSweepResult sweep = explore_link_widths(c.spec, c.widths, opt);
+        ASSERT_EQ(sweep.entries.size(), c.widths.size());
+        for (std::size_t i = 0; i < c.widths.size(); ++i) {
+          const WidthSweepEntry& e = sweep.entries[i];
+          EXPECT_EQ(e.width_bits, c.widths[i]);
+          if (ref[i] == 0) {
+            EXPECT_FALSE(e.feasible) << c.name << " width " << c.widths[i];
+          } else {
+            ASSERT_TRUE(e.feasible) << c.name << " width " << c.widths[i];
+            EXPECT_EQ(fp(e.result), ref[i])
+                << c.name << " width " << c.widths[i] << " threads " << threads
+                << " prune " << prune;
+          }
         }
       }
     }
   }
-  }
-}
-
-TEST(WidthSweep, WidthDependentRoutingFallsBackSoundly) {
-  // The seed benchmarks snap to DIFFERENT frequencies per width, so the
-  // lockstep's decision verification diverges (the opening costs shift) and
-  // the sweep must take the sound per-width fallback — while every entry
-  // stays bit-identical to the solo run.
-  const soc::Benchmark d26 = soc::make_d26_media_soc();
-  const soc::SocSpec spec = soc::with_logical_islands(d26.soc, 4, d26.use_cases);
-  const std::vector<int> widths = {32, 64, 128};
-  SynthesisOptions opt;
-  exec::ThreadPool pool(1);
-  EvalScratchPool scratch;
-  WidthSetStats stats;
-  const std::vector<WidthSweepEntry> entries =
-      synthesize_width_set(spec, widths, opt, pool, scratch, &stats);
-  EXPECT_GT(stats.fallback_evals, 0);  // width-dependent candidates detected
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    ASSERT_TRUE(entries[i].feasible);
-    EXPECT_EQ(fp(entries[i].result), solo_fp(spec, opt, widths[i]));
-  }
-}
-
-TEST(WidthSweep, SharesStructuresWhenFrequenciesCoincide) {
-  const soc::SocSpec spec = low_bandwidth_spec();
-  const std::vector<int> widths = {32, 64, 128};
-  SynthesisOptions opt;
-  // Sanity: one structural class with identical frequencies per width.
-  for (const int w : {64, 128}) {
-    const auto a = derive_island_params(spec, opt.tech, 32, opt.port_reserve);
-    const auto b = derive_island_params(spec, opt.tech, w, opt.port_reserve);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].freq_hz, b[i].freq_hz);
-      EXPECT_EQ(a[i].max_sw_size, b[i].max_sw_size);
-    }
-  }
-  exec::ThreadPool pool(1);
-  EvalScratchPool scratch;
-  WidthSetStats stats;
-  const std::vector<WidthSweepEntry> entries =
-      synthesize_width_set(spec, widths, opt, pool, scratch, &stats);
-  EXPECT_EQ(stats.width_classes, 1);
-  EXPECT_GT(stats.shared_evals, 0);  // lockstep survivors materialised
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    ASSERT_TRUE(entries[i].feasible);
-    EXPECT_EQ(fp(entries[i].result), solo_fp(spec, opt, widths[i]));
-  }
-}
-
-TEST(WidthSweep, CertificateSharesNearTieTraceFlips) {
-  // d24 at widths {128, 160} snaps to CLOSE island frequencies: the two
-  // Dijkstras' traces differ (near-tie heap pops flip under the shifted
-  // opening costs), so PR 4's per-decision lockstep diverged on every
-  // candidate — but the chosen paths mostly coincide, which the path-level
-  // certificate proves, unlocking full-candidate sharing. Results must stay
-  // bit-identical to per-width synthesize().
-  const soc::Benchmark d24 = soc::make_d24_imaging_soc();
-  const soc::SocSpec spec = soc::with_logical_islands(d24.soc, 5, d24.use_cases);
-  const std::vector<int> widths = {128, 160};
-  SynthesisOptions opt;
-  exec::ThreadPool pool(1);
-  EvalScratchPool scratch;
-  WidthSetStats stats;
-  const std::vector<WidthSweepEntry> entries =
-      synthesize_width_set(spec, widths, opt, pool, scratch, &stats);
-  EXPECT_GT(stats.certified_evals, 0);      // trace differed, path certified
-  EXPECT_GT(stats.certificate_accepts, 0);  // flow-level acceptances
-  EXPECT_GT(stats.shared_evals, 0);
-  EXPECT_GE(stats.shared_evals, stats.certified_evals);
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    ASSERT_TRUE(entries[i].feasible);
-    EXPECT_EQ(fp(entries[i].result), solo_fp(spec, opt, widths[i]));
-  }
-  // Per-width attribution sums back to the sweep totals (the leader width
-  // contributes nothing).
-  int shared = 0;
-  int certified = 0;
-  for (const WidthSweepEntry& e : entries) {
-    shared += e.result.stats.width_shared;
-    certified += e.result.stats.width_certified;
-  }
-  EXPECT_EQ(shared, stats.shared_evals);
-  EXPECT_EQ(certified, stats.certified_evals);
-}
-
-TEST(WidthSweep, CohortsLockstepSameDecisionDivergences) {
-  // The dense d26 grid {128, 160, 192, 256} makes several follower lanes
-  // genuinely diverge at the SAME decision with identical snapshots — those
-  // tails resume as cohorts (one lane leads, the rest verify in lockstep)
-  // instead of solo, and every entry stays bit-identical to the solo run.
-  const soc::Benchmark d26 = soc::make_d26_media_soc();
-  const soc::SocSpec spec = soc::with_logical_islands(d26.soc, 4, d26.use_cases);
-  const std::vector<int> widths = {128, 160, 192, 256};
-  SynthesisOptions opt;
-  exec::ThreadPool pool(1);
-  EvalScratchPool scratch;
-  WidthSetStats stats;
-  const std::vector<WidthSweepEntry> entries =
-      synthesize_width_set(spec, widths, opt, pool, scratch, &stats);
-  EXPECT_GE(stats.cohort_groups, 1);
-  EXPECT_GE(stats.cohort_evals, 2);  // a cohort is >= 2 lanes by definition
-  EXPECT_GE(stats.fallback_evals, stats.cohort_evals);  // cohorts are a subset
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    ASSERT_TRUE(entries[i].feasible);
-    EXPECT_EQ(fp(entries[i].result), solo_fp(spec, opt, widths[i]))
-        << "width " << widths[i];
-  }
-  int cohort = 0;
-  for (const WidthSweepEntry& e : entries) cohort += e.result.stats.width_cohort;
-  EXPECT_EQ(cohort, stats.cohort_evals);
 }
 
 TEST(WidthSweep, SimdAndScalarRelaxationFiltersAreBitIdentical) {
   // The 4-wide relaxation filter must be a pure accelerant: across the
-  // widths x threads x prune matrix (covering solo evaluation, lockstep,
-  // certificates and cohort resumes), fingerprints with the vector filter
+  // widths x threads x prune matrix, fingerprints with the vector filter
   // must equal the scalar reference's. In VINOC_SIMD_FORCE_SCALAR builds
   // the toggle is a no-op and both passes run the scalar path.
   const soc::Benchmark d26 = soc::make_d26_media_soc();
@@ -377,79 +276,6 @@ TEST(PartitionTable, FlatSortedContainerSemantics) {
   const PartitionTable empty;
   EXPECT_TRUE(empty.empty());
   EXPECT_EQ(empty.find({0, 1}), nullptr);
-}
-
-TEST(WidthEval, MatchesSoloEvaluateCandidatePerWidth) {
-  // evaluate_candidate_widths vs evaluate_candidate, candidate by candidate
-  // (prune off so outcomes compare directly without merge semantics).
-  const soc::SocSpec spec = multi_island_spec(12, 3);
-  SynthesisOptions base;
-  base.prune = false;
-  exec::ThreadPool pool(1);
-  EvalScratchPool scratch_pool;
-
-  const std::vector<int> widths = {64, 128};
-  MultiWidthContext mctx;
-  const floorplan::Floorplan plan = floorplan::Floorplan::build(spec, base.floorplan);
-  const std::vector<double> traffic = compute_core_traffic(spec);
-  const std::vector<std::size_t> order = bandwidth_descending_order(spec);
-  for (const int w : widths) {
-    WidthSlice s;
-    s.options = base;
-    s.options.link_width_bits = w;
-    s.island_params = derive_island_params(spec, base.tech, w, base.port_reserve);
-    s.intermediate_params = derive_intermediate_params(s.island_params, base.tech);
-    ASSERT_EQ(width_class_key(s.island_params),
-              width_class_key(derive_island_params(spec, base.tech, widths[0],
-                                                   base.port_reserve)));
-    mctx.slices.push_back(std::move(s));
-  }
-  const std::vector<CandidateConfig> cands =
-      enumerate_candidates(spec, mctx.slices[0].island_params, mctx.slices[0].options);
-  const PartitionTable partitions = compute_partitions(
-      spec, mctx.slices[0].options, mctx.slices[0].island_params, cands, pool);
-  mctx.spec = &spec;
-  mctx.floorplan = &plan;
-  mctx.partitions = &partitions;
-  mctx.core_traffic = &traffic;
-  mctx.flow_order = &order;
-
-  EvalScratch& scratch = scratch_pool.local();
-  for (const CandidateConfig& cand : cands) {
-    const std::vector<CandidateOutcome> multi =
-        evaluate_candidate_widths(mctx, cand, &scratch);
-    ASSERT_EQ(multi.size(), widths.size());
-    for (std::size_t j = 0; j < widths.size(); ++j) {
-      const EvalContext solo_ctx{spec,
-                                 plan,
-                                 mctx.slices[j].island_params,
-                                 mctx.slices[j].intermediate_params,
-                                 partitions,
-                                 traffic,
-                                 mctx.slices[j].options,
-                                 &order,
-                                 0.0};
-      const CandidateOutcome solo =
-          evaluate_candidate(solo_ctx, cand, &scratch, nullptr);
-      ASSERT_EQ(static_cast<int>(multi[j].status), static_cast<int>(solo.status));
-      if (solo.status != EvalStatus::kRouted) continue;
-      EXPECT_EQ(multi[j].signature, solo.signature);
-      EXPECT_EQ(multi[j].deadlock_free, solo.deadlock_free);
-      if (!solo.deadlock_free) continue;
-      EXPECT_EQ(multi[j].point.metrics.noc_dynamic_w,
-                solo.point.metrics.noc_dynamic_w);
-      EXPECT_EQ(multi[j].point.metrics.avg_latency_cycles,
-                solo.point.metrics.avg_latency_cycles);
-      EXPECT_EQ(multi[j].point.topology.links.size(),
-                solo.point.topology.links.size());
-      EXPECT_EQ(multi[j].point.topology.switch_of_core,
-                solo.point.topology.switch_of_core);
-      for (std::size_t s = 0; s < solo.point.topology.switches.size(); ++s) {
-        EXPECT_EQ(multi[j].point.topology.switches[s].freq_hz,
-                  solo.point.topology.switches[s].freq_hz);
-      }
-    }
-  }
 }
 
 }  // namespace

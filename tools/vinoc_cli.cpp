@@ -450,9 +450,9 @@ int cmd_sweep(const Args& args, const soc::SocSpec& spec) {
       core::explore_link_widths(spec, args.widths, options, &sweep_stats);
   if (args.progress) std::fprintf(stderr, "\n");
   // The ONE serialization of the sweep telemetry: the --json record, the
-  // sharing:/delta: console lines and the --metrics-out export all read
-  // from this registry (counters first, shared_rate/delta_reuse_rate as
-  // trailing gauges — see WidthSetStats::to_registry).
+  // delta: console line and the --metrics-out export all read from this
+  // registry (counters first, delta_reuse_rate as a trailing gauge — see
+  // WidthSetStats::to_registry).
   const obs::Registry sweep_reg = sweep_stats.to_registry();
   const auto counter = [&sweep_reg](const char* name) {
     return static_cast<long long>(sweep_reg.value(name));
@@ -461,9 +461,7 @@ int cmd_sweep(const Args& args, const soc::SocSpec& spec) {
   if (args.json) {
     // One campaign-format record per width (infeasible widths included with
     // feasible=false), machine-readable counterpart of the table below,
-    // then one sweep-level telemetry record: how much of the width sweep
-    // was served from shared structures (certificates / cohorts — see
-    // core::WidthSetStats).
+    // then one sweep-level telemetry record (see core::WidthSetStats).
     for (const core::WidthSweepEntry& e : sweep.entries) {
       core::SynthesisOptions wopt = options;
       wopt.link_width_bits = e.width_bits;
@@ -497,18 +495,8 @@ int cmd_sweep(const Args& args, const soc::SocSpec& spec) {
     std::printf("  %3d-bit  %8.2f mW  %6.2f cycles\n", sweep.width_of(ref),
                 m.noc_dynamic_w * 1e3, m.avg_latency_cycles);
   }
-  // Every counter of the --json width_sweep_stats record, same names and
+  // Delta counters of the --json width_sweep_stats record, same names and
   // values — both surfaces read the same registry.
-  std::printf(
-      "sharing: %lld width classes, %lld shared (%lld certified), %lld cohort "
-      "in %lld groups, %lld solo fallback (%.0f%% shared rate, %lld "
-      "certificate accepts, peak %lld buffered outcomes)\n",
-      counter("width_classes"), counter("shared_evals"),
-      counter("certified_evals"), counter("cohort_evals"),
-      counter("cohort_groups"),
-      counter("fallback_evals") - counter("cohort_evals"),
-      sweep_reg.gauge("shared_rate") * 100.0, counter("certificate_accepts"),
-      counter("peak_buffered_outcomes"));
   std::printf(
       "delta: %lld candidates replayed, %lld flows reused + %lld certified, "
       "%lld rerouted (%.0f%% reuse rate, %lld certificate rejects)\n",
@@ -819,19 +807,13 @@ int cmd_campaign(const Args& args) {
                result.jobs_run(), result.structure_shared_jobs(),
                result.structure_groups(), result.cache_hits(),
                result.infeasible(), result.wall_s);
-  std::fprintf(
-      stderr,
-      "sharing: %d shared (%d certified), %d cohort in %d groups, "
-      "%d solo fallback (%d certificate accepts, peak %d buffered "
-      "outcomes); delta: %d candidates, %lld reused + %lld "
-      "certified, %lld rerouted (%.0f%% reuse rate)\n",
-      result.width_shared_evals(), result.width_certified_evals(),
-      result.width_cohort_evals(), result.cohort_groups(),
-      result.width_fallback_evals() - result.width_cohort_evals(),
-      result.certificate_accepts(), result.peak_buffered_outcomes(),
-      result.delta_candidates(), result.delta_flows_reused(),
-      result.delta_flows_certified(), result.delta_flows_rerouted(),
-      result.delta_reuse_rate() * 100.0);
+  std::fprintf(stderr,
+               "delta: %d candidates, %lld reused + %lld certified, %lld "
+               "rerouted (%.0f%% reuse rate); peak %d buffered outcomes\n",
+               result.delta_candidates(), result.delta_flows_reused(),
+               result.delta_flows_certified(), result.delta_flows_rerouted(),
+               result.delta_reuse_rate() * 100.0,
+               result.peak_buffered_outcomes());
   // Machine-readable run summary: scripts (and CI's resume assertion) parse
   // this line instead of the human-formatted one above. The serialization
   // is CampaignResult::metrics verbatim — the engine registers its counters

@@ -78,6 +78,9 @@ struct CampaignJob {
   soc::SocSpec spec;  ///< fully islanded, use-case scenarios attached
   core::SynthesisOptions options;
   std::uint64_t key = 0;  ///< content hash (vinoc/campaign/spec_hash.hpp)
+  /// Width-excluded content hash (spec_hash.hpp structure_key): the
+  /// engine's width-group key and the shard planner's routing key.
+  std::uint64_t structure_key = 0;
 };
 
 struct ExpandStats {

@@ -41,8 +41,9 @@ struct ShardPlan {
   [[nodiscard]] int populated() const;
 };
 
-/// Plans `shards` shards over the expanded matrix. `shards` < 1 is treated
-/// as 1; the plan never splits a structure group.
+/// Plans `shards` shards over the expanded matrix (routing on each job's
+/// stored CampaignJob::structure_key). `shards` < 1 is treated as 1; the
+/// plan never splits a structure group.
 [[nodiscard]] ShardPlan plan_shards(const std::vector<CampaignJob>& jobs,
                                     int shards);
 

@@ -97,39 +97,45 @@ std::vector<CampaignJob> expand_jobs(const CampaignSpec& spec,
   ExpandStats local;
   std::vector<CampaignJob> jobs;
   std::unordered_set<std::uint64_t> seen;
+  // Each islanded spec is hashed once (spec_hash) and keyed at every width
+  // from that hash; it is copied into a job only when the job survives the
+  // filters and the dedup.
   auto emit = [&](const Scenario& sc, const std::string& strategy,
-                  std::string name, soc::SocSpec job_spec, int width) {
+                  std::string name, const soc::SocSpec& job_spec,
+                  std::uint64_t spec_hash, int width) {
     ++local.raw;
     if (!name_passes_filters(name, spec)) {
       ++local.filtered;
       return;
     }
     CampaignJob job;
+    job.options = spec.base_options;
+    job.options.link_width_bits = width;
+    job.options.threads = 1;
+    job.options.on_progress = nullptr;
+    job.key = job_key(spec_hash, job.options);
+    if (!seen.insert(job.key).second) {
+      ++local.deduped;
+      return;
+    }
+    job.structure_key = structure_key(spec_hash, job.options);
     job.name = std::move(name);
     job.scenario = sc.name;
     job.strategy = strategy;
     job.islands = static_cast<int>(job_spec.islands.size());
     job.width = width;
     job.seed = sc.seed;
-    job.options = spec.base_options;
-    job.options.link_width_bits = width;
-    job.options.threads = 1;
-    job.options.on_progress = nullptr;
-    job.key = job_key(job_spec, job.options);
-    if (!seen.insert(job.key).second) {
-      ++local.deduped;
-      return;
-    }
-    job.spec = std::move(job_spec);
+    job.spec = job_spec;
     jobs.push_back(std::move(job));
   };
 
   for (const Scenario& sc : scenarios) {
     for (const std::string& strategy : spec.strategies) {
       if (strategy == "spec") {
+        const std::uint64_t spec_hash = hash_soc_spec(sc.bench.soc);
         for (const int width : spec.widths) {
           emit(sc, strategy, sc.name + "/spec/w" + std::to_string(width),
-               sc.bench.soc, width);
+               sc.bench.soc, spec_hash, width);
         }
         continue;
       }
@@ -140,17 +146,18 @@ std::vector<CampaignJob> expand_jobs(const CampaignSpec& spec,
         // one via the ordinary content dedup (visible in ExpandStats).
         const int clamped =
             std::min(islands, static_cast<int>(sc.bench.soc.core_count()));
-        soc::SocSpec islanded =
+        const soc::SocSpec islanded =
             strategy == "logical"
                 ? soc::with_logical_islands(sc.bench.soc, clamped,
                                             sc.bench.use_cases)
                 : soc::with_communication_islands(sc.bench.soc, clamped,
                                                   sc.bench.use_cases);
+        const std::uint64_t spec_hash = hash_soc_spec(islanded);
         for (const int width : spec.widths) {
           emit(sc, strategy,
                sc.name + "/" + strategy + "/i" + std::to_string(clamped) +
                    "/w" + std::to_string(width),
-               islanded, width);
+               islanded, spec_hash, width);
         }
       }
     }

@@ -2,7 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -148,31 +148,22 @@ StoreRecoveryStats ResultCache::load_store() {
   store_bytes_ = 0;
   if (dir_.empty()) return stats;
   std::string text;
-  {
-    std::ifstream in(store_path(), std::ios::binary);
-    if (!in) return stats;
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  if (!io::read_file(store_path(), text)) return stats;
   // A store that does not end in '\n' has a crash-torn tail: the final
   // append was cut mid-line. The torn line itself almost always fails its
   // checksum below; republishing the store is what matters either way,
   // because appending after a newline-less tail would CONCATENATE the next
   // record onto the torn bytes and corrupt both.
   bool needs_rewrite = !text.empty() && text.back() != '\n';
-  std::vector<std::string> quarantined;
+  std::vector<std::string_view> quarantined;
   std::unordered_set<std::uint64_t> on_disk;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
+  std::string payload;
+  for (std::string_view rest = text; !rest.empty();) {
+    const std::string_view line = io::next_line(rest);
     if (line.empty()) {
       needs_rewrite = true;  // stray blank line: drop on republish
       continue;
     }
-    std::string payload;
     const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
     JobRecord rec;
     const bool good =
@@ -192,7 +183,9 @@ StoreRecoveryStats ResultCache::load_store() {
     const std::uint64_t key = rec.key;
     if (records_.emplace(key, std::move(rec)).second) ++stats.loaded;
     store_order_.push_back(key);
-    store_bytes_ += record_line(records_.at(key)).size() + 1;
+    // The line's own on-disk bytes: a store that needs no rewrite holds
+    // exactly these, and a rewrite recounts what it writes.
+    store_bytes_ += line.size() + 1;
   }
   recovered_records_ += stats.recovered;
   if (!quarantined.empty()) {
@@ -200,41 +193,33 @@ StoreRecoveryStats ResultCache::load_store() {
     if (out) {
       // Each rejected line rides inside a checksummed envelope so the
       // quarantine ledger itself stays verifiable (vinoc store verify).
-      for (const std::string& line : quarantined) {
+      for (const std::string_view line : quarantined) {
         out << io::quarantine_envelope(line, "store recovery") << '\n';
       }
     }
   }
-  const std::size_t evicted_before = static_cast<std::size_t>(evicted_records_);
-  if (store_max_bytes_ > 0 && store_bytes_ > store_max_bytes_) {
-    evict_to_cap_locked();  // republishes the store itself
-    stats.evicted = static_cast<std::size_t>(evicted_records_) - evicted_before;
-    stats.rewritten = true;
-  } else if (needs_rewrite) {
+  if (needs_rewrite) {
     rewrite_store_locked(store_order_);
     stats.rewritten = true;
+  }
+  if (store_max_bytes_ > 0 && store_bytes_ > store_max_bytes_) {
+    const std::uint64_t evicted_before = evicted_records_;
+    evict_to_cap_locked();  // republishes the store itself
+    stats.evicted = static_cast<std::size_t>(evicted_records_ - evicted_before);
+    stats.rewritten = stats.rewritten || stats.evicted > 0;
   }
   return stats;
 }
 
 std::size_t ResultCache::load_side_store(const std::string& path) {
   std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return 0;
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  if (!io::read_file(path, text)) return 0;
   const std::lock_guard<std::mutex> lock(mutex_);
   std::size_t loaded = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
+  std::string payload;
+  for (std::string_view rest = text; !rest.empty();) {
+    const std::string_view line = io::next_line(rest);
     if (line.empty()) continue;
-    std::string payload;
     const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
     JobRecord rec;
     if ((cs != io::ChecksumStatus::kOk && cs != io::ChecksumStatus::kAbsent) ||

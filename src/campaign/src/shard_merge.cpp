@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <map>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,24 +17,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
-bool read_text(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out.assign(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>());
-  return true;
-}
-
-/// Splits `text` into lines (no trailing '\n' handling needed: the last
-/// unterminated chunk comes back as a line and fails its checksum).
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    if (nl > pos) lines.push_back(text.substr(pos, nl - pos));
-    pos = nl + 1;
+/// The non-empty lines of `text`, as views into it (the last unterminated
+/// chunk comes back as a line and fails its checksum).
+std::vector<std::string_view> split_lines(std::string_view text) {
+  std::vector<std::string_view> lines;
+  while (!text.empty()) {
+    const std::string_view line = io::next_line(text);
+    if (!line.empty()) lines.push_back(line);
   }
   return lines;
 }
@@ -83,8 +72,8 @@ std::vector<std::string> ledger_family(const std::string& cache_dir) {
 std::vector<JobRecord> read_store_records(const std::string& path) {
   std::vector<JobRecord> records;
   std::string text;
-  if (!read_text(path, text)) return records;
-  for (const std::string& line : split_lines(text)) {
+  if (!io::read_file(path, text)) return records;
+  for (const std::string_view line : split_lines(text)) {
     std::string payload;
     const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
     if (cs != io::ChecksumStatus::kOk && cs != io::ChecksumStatus::kAbsent) {
@@ -122,8 +111,8 @@ MergeStats merge_shard_stores(const std::string& cache_dir,
   std::unordered_map<std::uint64_t, std::string> identity;
   for (const std::string& file : files) {
     std::string text;
-    if (!read_text(file, text)) continue;
-    for (const std::string& line : split_lines(text)) {
+    if (!io::read_file(file, text)) continue;
+    for (const std::string_view line : split_lines(text)) {
       std::string payload;
       const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
       JobRecord rec;
@@ -242,8 +231,8 @@ VerifyStats verify_stores(const std::string& cache_dir) {
   for (const std::string& file : store_family(cache_dir)) {
     ++stats.files;
     std::string text;
-    if (!read_text(file, text)) continue;
-    for (const std::string& line : split_lines(text)) {
+    if (!io::read_file(file, text)) continue;
+    for (const std::string_view line : split_lines(text)) {
       std::string payload;
       const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
       if (cs == io::ChecksumStatus::kMismatch ||
@@ -264,8 +253,8 @@ VerifyStats verify_stores(const std::string& cache_dir) {
   for (const std::string& file : ledger_family(cache_dir)) {
     ++stats.files;
     std::string text;
-    if (!read_text(file, text)) continue;
-    for (const std::string& line : split_lines(text)) {
+    if (!io::read_file(file, text)) continue;
+    for (const std::string_view line : split_lines(text)) {
       std::string payload;
       const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
       if (cs != io::ChecksumStatus::kOk) {

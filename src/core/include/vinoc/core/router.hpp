@@ -17,8 +17,8 @@
 //
 // Hot path: route_all_flows() sits inside the candidate-evaluation loop of
 // the sweep, so it takes an optional RouterScratch (preallocated Dijkstra
-// state, flat link-lookup matrix, port counters, fallback topology buffer —
-// reset, not reallocated, between candidates) and an optional RouteBound
+// state, flat link-lookup matrix, port counters — reset, not reallocated,
+// between candidates) and an optional RouteBound
 // (monotone lower bounds on the final metrics checked against the current
 // Pareto front after every routed flow; see vinoc/core/prune.hpp). One call
 // routes one link width: the width sweep routes a candidate once per width,
@@ -135,7 +135,6 @@ struct RouterScratch {
   std::uint64_t geometry_token = 0;
   std::uint64_t geometry_built_token = 0;
   std::uint64_t geometry_token_counter = 0;  ///< for callers minting tokens
-  NocTopology fallback;  ///< pristine pre-routing copy for the retry pass
 };
 
 /// One hop of a recorded reference route (see DeltaReference): the endpoint

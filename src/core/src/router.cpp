@@ -1035,9 +1035,9 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
   const bool fallback_possible = has_intermediate && !options.forbid_direct_cross;
   const RouteBound* pass1_bound = fallback_possible ? nullptr : bound;
 
-  if (fallback_possible) {
-    sc.fallback = topo;  // pristine copy for the retry pass (capacity reused)
-  }
+  // Pass 1 only appends links and fills routes, so truncating both restores
+  // the pristine pre-routing topology for the retry pass.
+  const std::size_t links_before = topo.links.size();
   RouteOutcome first;
   {
     // Recording observes pass 1 only: the records describe the greedy
@@ -1060,7 +1060,8 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
   // with all cross-island traffic concentrated through the NoC VI (far
   // fewer ports consumed on the island switches).
   OBS_SPAN("route_fallback_pass");
-  topo = sc.fallback;
+  topo.links.resize(links_before);
+  topo.routes.clear();
   RouterOptions retry = options;
   retry.forbid_direct_cross = true;
   Router router(topo, spec, retry, sc, bound, nullptr, delta);

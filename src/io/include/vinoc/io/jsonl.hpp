@@ -80,6 +80,22 @@ enum class ChecksumStatus {
 [[nodiscard]] ChecksumStatus verify_line_checksum(std::string_view line,
                                                   std::string* payload_out);
 
+/// Reads the whole file at `path` into `out` with one sized read (the JSONL
+/// stores and ledgers are read this way, then walked line by line). Returns
+/// false when the file cannot be opened or a read fails; `out` is then
+/// empty or partial.
+[[nodiscard]] bool read_file(const std::string& path, std::string& out);
+
+/// Pops the next line off the front of `rest` and returns it without its
+/// '\n' (the final line may lack one). Walk a buffer with
+/// `for (std::string_view rest = text; !rest.empty();)`.
+[[nodiscard]] inline std::string_view next_line(std::string_view& rest) {
+  const std::size_t nl = rest.find('\n');
+  const std::string_view line = rest.substr(0, nl);
+  rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
+  return line;
+}
+
 /// Canonical envelope for a REJECTED line bound for a quarantine ledger:
 /// `{"quarantined":"<escaped original bytes>","reason":"...","_crc":...}`.
 /// The original line is usually torn or corrupt — not valid JSON — so it

@@ -250,6 +250,28 @@ ChecksumStatus verify_line_checksum(std::string_view line,
   return ChecksumStatus::kOk;
 }
 
+bool read_file(const std::string& path, std::string& out) {
+  out.clear();
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  long size = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  std::rewind(f);
+  if (size > 0) {
+    out.resize(static_cast<std::size_t>(size));
+    out.resize(std::fread(out.data(), 1, out.size(), f));
+  }
+  // Whatever lies past the measured size: a file still being appended to,
+  // or one that cannot report its size.
+  char buf[1 << 14];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
+    out.append(buf, n);
+  }
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  return ok;
+}
+
 std::string quarantine_envelope(std::string_view line, std::string_view reason) {
   JsonlWriter w;
   w.field("quarantined", line);

@@ -322,58 +322,99 @@ PartitionResult agglomerative_cluster(const Digraph& g, int clusters,
     throw std::invalid_argument("agglomerative_cluster: size cap cannot fit");
   }
 
-  const Digraph u = g.undirected_view();
-  // cluster id per node; clusters are merged by relabelling (n is small --
-  // tens of cores -- so the quadratic approach is fine and simple).
+  // Clusters are merged by relabelling; each merge step is O(n) amortised
+  // over the cached per-row best partners below, but a merge can invalidate
+  // O(n) rows, so the whole run is cubic in n at worst (n is tens of cores).
   std::vector<int> cl(n);
   std::iota(cl.begin(), cl.end(), 0);
   std::vector<std::size_t> size(n, 1);
   int alive = static_cast<int>(n);
 
-  // Pairwise inter-cluster weights.
-  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
-  for (const auto& e : u.edges()) {
+  // Pairwise inter-cluster weights, one flat symmetric n x n matrix. Each
+  // pair's edges are summed in edge order from 0.0, exactly as
+  // undirected_view() coalesces them, so the weights are bit-identical to
+  // those of the undirected view without building it.
+  std::vector<double> w(n * n, 0.0);
+  for (const auto& e : g.edges()) {
     const auto a = static_cast<std::size_t>(e.src);
     const auto b = static_cast<std::size_t>(e.dst);
     if (a == b) continue;
-    w[a][b] += e.weight;
-    w[b][a] += e.weight;
+    w[std::min(a, b) * n + std::max(a, b)] += e.weight;
   }
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) w[b * n + a] = w[a * n + b];
+  }
+  const std::vector<double> pair_weight = w;  // for the final cut weight
 
-  std::vector<bool> dead(n, false);
+  std::vector<char> dead(n, 0);
+  auto mergeable = [&](std::size_t a, std::size_t b) {
+    return dead[b] == 0 &&
+           (max_cluster_size == 0 || size[a] + size[b] <= max_cluster_size);
+  };
+  // best[a]: the partner b > a of a's heaviest mergeable pair, lowest b on
+  // ties (-1 when none), so scanning the rows in order and keeping the
+  // first strictly heaviest row finds the same pair as a scan of every
+  // (a, b) in lexicographic order.
+  std::vector<int> best(n, -1);
+  auto rescan_row = [&](std::size_t a) {
+    int best_b = -1;
+    double best_w = -1.0;
+    for (std::size_t b = a + 1; b < n; ++b) {
+      if (mergeable(a, b) && w[a * n + b] > best_w) {
+        best_w = w[a * n + b];
+        best_b = static_cast<int>(b);
+      }
+    }
+    best[a] = best_b;
+  };
+  for (std::size_t a = 0; a < n; ++a) rescan_row(a);
+
   while (alive > clusters) {
     // Heaviest mergeable pair; ties broken by (a, b) for determinism.
     int best_a = -1;
-    int best_b = -1;
     double best_w = -1.0;
     for (std::size_t a = 0; a < n; ++a) {
-      if (dead[a]) continue;
-      for (std::size_t b = a + 1; b < n; ++b) {
-        if (dead[b]) continue;
-        if (max_cluster_size > 0 && size[a] + size[b] > max_cluster_size) continue;
-        if (w[a][b] > best_w) {
-          best_w = w[a][b];
-          best_a = static_cast<int>(a);
-          best_b = static_cast<int>(b);
-        }
+      if (dead[a] != 0 || best[a] < 0) continue;
+      const double wa = w[a * n + static_cast<std::size_t>(best[a])];
+      if (wa > best_w) {
+        best_w = wa;
+        best_a = static_cast<int>(a);
       }
     }
     if (best_a < 0) {
       result.feasible = false;  // cap made further merging impossible
       break;
     }
+    const int best_b = best[static_cast<std::size_t>(best_a)];
     const auto a = static_cast<std::size_t>(best_a);
     const auto b = static_cast<std::size_t>(best_b);
     for (std::size_t c = 0; c < n; ++c) {
-      if (dead[c] || c == a || c == b) continue;
-      w[a][c] += w[b][c];
-      w[c][a] += w[c][b];
+      if (dead[c] != 0 || c == a || c == b) continue;
+      w[a * n + c] += w[b * n + c];
+      w[c * n + a] += w[c * n + b];
     }
     size[a] += size[b];
-    dead[b] = true;
+    dead[b] = 1;
     --alive;
     for (std::size_t v = 0; v < n; ++v) {
       if (cl[v] == best_b) cl[v] = best_a;
+    }
+    // Only pairs touching a (new weight and size) or b (gone) changed.
+    rescan_row(a);
+    for (std::size_t c = 0; c < a; ++c) {
+      if (dead[c] != 0) continue;
+      if (best[c] == best_a || best[c] == best_b) {
+        rescan_row(c);
+      } else if (mergeable(c, a)) {
+        const double wc = w[c * n + a];
+        const double cur = best[c] < 0
+                               ? -1.0
+                               : w[c * n + static_cast<std::size_t>(best[c])];
+        if (wc > cur || (wc == cur && best_a < best[c])) best[c] = best_a;
+      }
+    }
+    for (std::size_t c = a + 1; c < b; ++c) {
+      if (dead[c] == 0 && best[c] == best_b) rescan_row(c);
     }
   }
 
@@ -388,7 +429,15 @@ PartitionResult agglomerative_cluster(const Digraph& g, int clusters,
   }
   result.blocks = next;
   if (alive == clusters) result.feasible = true;
-  result.cut_weight = u.cut_weight(result.block_of);
+  // The undirected view's cut: its edges in (a, b) order, a < b. Pairs
+  // without an edge add 0.0, which leaves the sum unchanged.
+  double cut = 0.0;
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      if (result.block_of[a] != result.block_of[b]) cut += pair_weight[a * n + b];
+    }
+  }
+  result.cut_weight = cut;
   return result;
 }
 

@@ -287,6 +287,104 @@ TEST(Agglomerative, RejectsBadArguments) {
   EXPECT_THROW((void)agglomerative_cluster(g, 3, 1), std::invalid_argument);
 }
 
+/// Reference agglomerative clustering: every step scans all (a, b) pairs
+/// of the undirected view in lexicographic order for the first strictly
+/// heaviest mergeable one. Returns the compacted block_of; `feasible` and
+/// `cut` as agglomerative_cluster reports them.
+std::vector<int> exhaustive_cluster(const Digraph& g, int clusters,
+                                    std::size_t cap, bool& feasible,
+                                    double& cut) {
+  const std::size_t n = g.node_count();
+  const Digraph u = g.undirected_view();
+  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
+  for (const auto& e : u.edges()) {
+    const auto a = static_cast<std::size_t>(e.src);
+    const auto b = static_cast<std::size_t>(e.dst);
+    if (a == b) continue;
+    w[a][b] += e.weight;
+    w[b][a] += e.weight;
+  }
+  std::vector<int> cl(n);
+  for (std::size_t v = 0; v < n; ++v) cl[v] = static_cast<int>(v);
+  std::vector<std::size_t> size(n, 1);
+  std::vector<bool> dead(n, false);
+  int alive = static_cast<int>(n);
+  while (alive > clusters) {
+    int best_a = -1;
+    int best_b = -1;
+    double best_w = -1.0;
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (dead[a] || dead[b] || (cap > 0 && size[a] + size[b] > cap)) continue;
+        if (w[a][b] > best_w) {
+          best_w = w[a][b];
+          best_a = static_cast<int>(a);
+          best_b = static_cast<int>(b);
+        }
+      }
+    }
+    if (best_a < 0) break;
+    const auto a = static_cast<std::size_t>(best_a);
+    const auto b = static_cast<std::size_t>(best_b);
+    for (std::size_t c = 0; c < n; ++c) {
+      if (dead[c] || c == a || c == b) continue;
+      w[a][c] += w[b][c];
+      w[c][a] += w[c][b];
+    }
+    size[a] += size[b];
+    dead[b] = true;
+    --alive;
+    for (int& c : cl) {
+      if (c == best_b) c = best_a;
+    }
+  }
+  std::vector<int> remap(n, -1);
+  std::vector<int> block_of(n);
+  int next = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto c = static_cast<std::size_t>(cl[v]);
+    if (remap[c] == -1) remap[c] = next++;
+    block_of[v] = remap[c];
+  }
+  feasible = alive == clusters;
+  cut = u.cut_weight(block_of);
+  return block_of;
+}
+
+TEST(Agglomerative, MatchesExhaustiveScanExactly) {
+  // The clustering caches each row's best partner; it must pick exactly
+  // the pairs a full lexicographic scan picks, ties included (small integer
+  // weights make many), so every communication islanding stays the same.
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<int>(1 + rng() % 24);
+    Digraph g(static_cast<std::size_t>(n));
+    const bool integer_weights = rng() % 2 == 0;
+    const int edges = static_cast<int>(rng() % static_cast<unsigned>(3 * n + 1));
+    for (int e = 0; e < edges; ++e) {
+      const double weight =
+          integer_weights ? static_cast<double>(rng() % 4)
+                          : std::uniform_real_distribution<double>(0.0, 10.0)(rng);
+      g.add_edge(static_cast<int>(rng() % static_cast<unsigned>(n)),
+                 static_cast<int>(rng() % static_cast<unsigned>(n)), weight);
+    }
+    const int k = 1 + static_cast<int>(rng() % static_cast<unsigned>(n));
+    std::size_t cap = 0;
+    if (rng() % 3 != 0) {
+      cap = (static_cast<std::size_t>(n) + static_cast<std::size_t>(k) - 1) /
+                static_cast<std::size_t>(k) +
+            rng() % 3;
+    }
+    bool feasible = false;
+    double cut = 0.0;
+    const std::vector<int> expected = exhaustive_cluster(g, k, cap, feasible, cut);
+    const PartitionResult r = agglomerative_cluster(g, k, cap);
+    ASSERT_EQ(r.block_of, expected) << "trial " << trial;
+    EXPECT_EQ(r.feasible, feasible) << "trial " << trial;
+    EXPECT_EQ(r.cut_weight, cut) << "trial " << trial;
+  }
+}
+
 TEST(BlockSizes, CountsCorrectly) {
   const std::vector<int> blocks = {0, 1, 1, 2, 2, 2};
   const auto sizes = block_sizes(blocks, 3);

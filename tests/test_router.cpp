@@ -189,6 +189,28 @@ TEST(Router, PortExhaustionRoutesViaIntermediate) {
   }
   EXPECT_TRUE(via_intermediate);
   EXPECT_TRUE(with.topo.validate(with.spec).empty());
+
+  // The greedy pass strands a flow, so the fallback pass reroutes from the
+  // pristine topology: the result equals routing a fresh copy with direct
+  // crossings forbidden from the start, with no greedy-pass link left over.
+  Fixture direct = build(1);
+  direct.opts.forbid_direct_cross = true;
+  ASSERT_TRUE(route_all_flows(direct.topo, direct.spec, direct.opts).success);
+  ASSERT_EQ(with.topo.links.size(), direct.topo.links.size());
+  for (std::size_t l = 0; l < direct.topo.links.size(); ++l) {
+    const TopLink& got = with.topo.links[l];
+    const TopLink& want = direct.topo.links[l];
+    EXPECT_EQ(got.src_switch, want.src_switch) << "link " << l;
+    EXPECT_EQ(got.dst_switch, want.dst_switch) << "link " << l;
+    EXPECT_EQ(got.carried_bw_bits_per_s, want.carried_bw_bits_per_s);
+    EXPECT_EQ(got.flows, want.flows) << "link " << l;
+  }
+  ASSERT_EQ(with.topo.routes.size(), direct.topo.routes.size());
+  for (std::size_t f = 0; f < direct.topo.routes.size(); ++f) {
+    EXPECT_EQ(with.topo.routes[f].links, direct.topo.routes[f].links);
+    EXPECT_EQ(with.topo.routes[f].latency_cycles,
+              direct.topo.routes[f].latency_cycles);
+  }
 }
 
 TEST(Router, NoPathThroughThirdIsland) {

@@ -3,8 +3,12 @@
 // knobs do not, and a cache hit hands back a bit-identical SynthesisResult.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 
+#include "vinoc/campaign/campaign_spec.hpp"
 #include "vinoc/campaign/result_cache.hpp"
 #include "vinoc/campaign/spec_hash.hpp"
 #include "vinoc/core/synthesis.hpp"
@@ -139,6 +143,58 @@ TEST(SpecHash, PerturbedSyntheticParamsChangeSpecHash) {
   const soc::SyntheticParams zero = soc::perturb_synthetic_params(params, 0);
   EXPECT_EQ(zero.seed, params.seed);
   EXPECT_EQ(zero.flows_per_core, params.flows_per_core);
+}
+
+TEST(SpecHash, ExpandedKeysEqualFromScratchKeys) {
+  // expand_jobs hashes each islanded spec once and keys every width from
+  // that hash; every stored key must equal the from-scratch key of the
+  // job's own (spec, options), over named and synthetic scenarios, all
+  // three islanding strategies and two widths.
+  CampaignSpec spec;
+  spec.benchmarks = {"d16", "d24", "d26"};
+  SyntheticScenario family;
+  family.params.cores = 12;
+  family.params.hubs = 2;
+  family.perturbations = 1;
+  spec.synthetic.push_back(family);
+  spec.strategies = {"spec", "logical", "comm"};
+  spec.island_counts = {2, 3, 5};
+  spec.widths = {32, 128};
+  ExpandStats stats;
+  const std::vector<CampaignJob> jobs = expand_jobs(spec, &stats);
+  EXPECT_EQ(stats.raw, 5 * 2 * (1 + 2 * 3));
+  std::set<std::string> strategies;
+  for (const CampaignJob& job : jobs) {
+    strategies.insert(job.strategy);
+    EXPECT_EQ(job.key, job_key(job.spec, job.options)) << job.name;
+    EXPECT_EQ(job.structure_key, structure_key(job.spec, job.options))
+        << job.name;
+  }
+  EXPECT_EQ(strategies.size(), 3u);
+}
+
+TEST(SpecHash, KeysArePinnedSoOldStoresStillResume) {
+  // Literal keys written by earlier releases: a store keyed by them must
+  // keep resuming as all hits, so any change to the canonical hash streams
+  // (spec, options, islanding) shows up here first.
+  CampaignSpec spec;
+  spec.benchmarks = {"d16"};
+  spec.strategies = {"spec", "logical", "comm"};
+  spec.island_counts = {3};
+  spec.widths = {64};
+  const std::map<std::string, std::pair<std::string, std::string>> pinned = {
+      {"d16/spec/w64", {"e9cb1a696e61e766", "c0a8b187ba3ab662"}},
+      {"d16/logical/i3/w64", {"9294e8552bb04698", "e3aa15ce655f5000"}},
+      {"d16/comm/i3/w64", {"909468ec27bf5f0c", "ec313f37e82e3b8c"}},
+  };
+  const std::vector<CampaignJob> jobs = expand_jobs(spec);
+  ASSERT_EQ(jobs.size(), pinned.size());
+  for (const CampaignJob& job : jobs) {
+    const auto it = pinned.find(job.name);
+    ASSERT_NE(it, pinned.end()) << job.name;
+    EXPECT_EQ(key_hex(job.key), it->second.first) << job.name;
+    EXPECT_EQ(key_hex(job.structure_key), it->second.second) << job.name;
+  }
 }
 
 }  // namespace

@@ -163,6 +163,19 @@ TEST(Synthesis, InvalidSpecRejected) {
   EXPECT_THROW((void)synthesize(bad), std::invalid_argument);
 }
 
+TEST(Synthesis, InfeasibleWidthThrowsInfeasibleWidthError) {
+  SynthesisOptions opts;
+  opts.link_width_bits = 1;  // no switch frequency sustains the NI links
+  try {
+    (void)synthesize(d26_spec(2), opts);
+    FAIL() << "expected InfeasibleWidthError";
+  } catch (const InfeasibleWidthError& e) {
+    EXPECT_STREQ(e.what(),
+                 "synthesize: an NI link exceeds attainable bandwidth; widen "
+                 "links");
+  }
+}
+
 TEST(Synthesis, InvalidOptionsRejected) {
   const soc::SocSpec spec = d26_spec(2);
   SynthesisOptions opts;

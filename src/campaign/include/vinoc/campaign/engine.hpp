@@ -5,7 +5,8 @@
 // (spec_hash.hpp structure_key) — jobs that differ only in link_width_bits
 // share every width-invariant input, so each group is synthesized together
 // through core::synthesize_width_set (partitions, floorplan and candidate
-// structures computed once per group, not once per width). Groups fan out
+// structures computed once per group, not once per width); a lone job is
+// the one-width set, through the same call. Groups fan out
 // with exec::parallel_for_each (the caller participates as a strand) and
 // every group's candidate sweep fans out over the SAME pool — nested
 // parallelism. The nested fan-outs queue at the front (exec's fairness
@@ -122,8 +123,10 @@ struct CampaignResult {
   ///                          synthesized together via synthesize_width_set)
   ///   structure_shared_jobs  jobs those groups covered
   ///   peak_buffered_outcomes streaming-merge high-water mark (MAX over
-  ///                          groups — a memory bound, not a sum)
-  ///   delta_*                candidate-level delta evaluation sums
+  ///                          all computed groups, one-job groups included
+  ///                          — a memory bound, not a sum)
+  ///   delta_*                candidate-level delta evaluation sums over
+  ///                          all computed groups
   obs::Registry metrics;
   double wall_s = 0.0;  ///< whole-campaign wall time
 

@@ -135,7 +135,7 @@ std::uint64_t hash_options_impl(const core::SynthesisOptions& options,
       .boolean(options.enforce_wire_timing)
       .boolean(options.enforce_deadlock_freedom)
       .boolean(options.prune)
-      .boolean(options.deterministic_prune);
+      .boolean(true);  // retired deterministic_prune slot, kept so keys hold
   // threads / delta_eval / on_progress intentionally omitted: pure
   // wall-clock knobs, bit-identical results either way (see header).
   hash_technology(h, options.tech);

@@ -18,10 +18,11 @@
 // partitions every candidate needs, memoized so partitioning runs once per
 // island/switch-count pair instead of once per inner-loop iteration.
 //
-// synthesize() then merges outcomes back IN ENUMERATION ORDER — duplicate
-// suppression, stats counters and the saved-point list all follow candidate
-// index — which is what makes the parallel run bit-identical to the
-// sequential one.
+// The one driver, synthesize_width_set() (vinoc/core/explore.hpp; a plain
+// synthesize() is its one-width case), then merges outcomes back IN
+// ENUMERATION ORDER — duplicate suppression, stats counters and the
+// saved-point list all follow candidate index — which is what makes the
+// parallel run bit-identical to the sequential one.
 //
 // Hot path: evaluation takes an optional per-worker EvalScratch (buffers
 // reset, not reallocated, between candidates; see exec::WorkerLocal) and an
@@ -140,11 +141,15 @@ enum class EvalStatus {
 
 /// Result of evaluating one candidate. `point`, `signature` and
 /// `deadlock_free` are meaningful only when status == kRouted. When a
-/// bound was supplied, the `pruned_*` lower bounds are filled for BOTH
-/// kPruned (values at the abort checkpoint) and kRouted (values at the
-/// last checkpoint of the evaluation) — the merge stage re-checks them
-/// against the enumeration-ordered front to keep pruned runs bit-identical
-/// to sequential ones for any thread count (see synthesis.cpp).
+/// bound was supplied, the (power, average latency) lower bounds are filled
+/// for every status: `base_lb_*` at the pre-routing checkpoint and `lb_*`
+/// at the last checkpoint the evaluation reached (the abort checkpoint when
+/// kPruned). The merge stage re-checks them against the enumeration-ordered
+/// front to keep pruned runs bit-identical to sequential ones for any
+/// thread count (see OutcomeMerger). Both are needed: the pre-routing
+/// latency bound divides by the flow count while the router multiplies by
+/// its reciprocal, so the router's first checkpoint can sit one ulp below
+/// the pre-routing one.
 struct CandidateOutcome {
   EvalStatus status = EvalStatus::kRejectedUnroutable;
   DesignPoint point;
@@ -152,8 +157,10 @@ struct CandidateOutcome {
   /// therefore happens in the index-ordered merge, not here.
   std::vector<int> signature;
   bool deadlock_free = true;
-  double pruned_power_lb_w = 0.0;
-  double pruned_latency_lb_cycles = 0.0;
+  double base_lb_power_w = 0.0;
+  double base_lb_latency_cycles = 0.0;
+  double lb_power_w = 0.0;
+  double lb_latency_cycles = 0.0;
 };
 
 /// Per-worker scratch arena for the evaluation stage: router state, metrics
@@ -177,7 +184,7 @@ struct EvalScratch {
 };
 
 /// Thread-keyed pool of EvalScratch arenas (exec::WorkerLocal). One slot
-/// per strand, created lazily, reused across candidates, synthesize() runs
+/// per strand, created lazily, reused across candidates, synthesis runs
 /// and — when the pool outlives them — campaign jobs.
 class EvalScratchPool {
  public:
@@ -215,16 +222,15 @@ class EvalScratchPool {
 
 /// Incremental, enumeration-ordered merge of candidate outcomes into a
 /// SynthesisResult — the single definition of Algorithm 1's dedup / stats /
-/// Pareto-front / deterministic-pruning semantics, shared by synthesize()
-/// and the width sweep (explore.cpp). Outcomes are fed ONE AT A TIME in
+/// Pareto-front / deterministic-pruning semantics, used per width by
+/// synthesize_width_set() (explore.cpp). Outcomes are fed ONE AT A TIME in
 /// enumeration order (the i-th add() merges candidate i), so streaming
 /// callers merge each candidate as soon as its predecessors have merged and
 /// release it, instead of holding every outcome until the sweep ends —
 /// SynthesisStats::peak_buffered_outcomes records the resulting buffer
 /// high-water mark. `replay` re-evaluates candidate i against the
-/// merge-front bound (called only when options.prune &&
-/// options.deterministic_prune for a pruned outcome whose recorded bounds
-/// the merge front does not dominate). Not thread-safe: callers serialise
+/// merge-front bound (called only for a pruned outcome whose recorded
+/// bounds the merge front does not dominate). Not thread-safe: callers serialise
 /// add() externally. finish() builds result.pareto; call it exactly once,
 /// after the final add().
 class OutcomeMerger {
@@ -244,13 +250,6 @@ class OutcomeMerger {
   std::set<std::vector<int>> seen_designs_;
   std::size_t index_ = 0;
 };
-
-/// One-shot wrapper over OutcomeMerger for callers that already hold every
-/// outcome: merges `outcomes` (enumeration order) and finishes.
-void merge_candidate_outcomes(
-    std::vector<CandidateOutcome>&& outcomes, const SynthesisOptions& options,
-    const std::function<CandidateOutcome(std::size_t, const ParetoBound&)>& replay,
-    SynthesisResult& result);
 
 /// Per-core total traffic (sum of inbound + outbound flow bandwidth), used
 /// to weight switch placement.

@@ -6,7 +6,8 @@
 // algorithm steps." This module does exactly that: run the synthesis once
 // per candidate width and merge all saved design points into one global
 // power/latency Pareto front, so the designer sees width as just another
-// trade-off axis.
+// trade-off axis. Its driver, synthesize_width_set(), is also the only
+// synthesis driver: synthesize() is the one-width width set.
 #pragma once
 
 #include <cstddef>
@@ -92,24 +93,26 @@ struct WidthSetStats {
   [[nodiscard]] obs::Registry to_registry() const;
 };
 
-/// Core engine of the width sweep: synthesizes `spec` at every width of
-/// `widths` (entries parallel to it) with width-invariant work shared —
+/// The one synthesis driver — the width sweep's engine, and synthesize()
+/// as its one-width case: synthesizes `spec` at every width of `widths`
+/// (entries parallel to it) with width-invariant work shared —
 /// ONE floorplan, flow order and traffic profile for the whole set; ONE
 /// min-cut partition per distinct (island, switch count, max block size)
 /// across all widths; ONE candidate enumeration per structural class
 /// (widths whose derived island parameters share max switch size and
 /// minimum switch count per island); and ONE routing geometry per
 /// candidate. Each (candidate, width) is then routed on its own by
-/// evaluate_candidate(), with the same delta evaluation synthesize() uses
-/// (one reference per (class, width), since recorded routes depend on the
-/// width's frequencies and capacities).
+/// evaluate_candidate(), with candidate-level delta evaluation (one group
+/// reference per (class, width), since recorded routes depend on the
+/// width's frequencies and capacities), and merged per width in
+/// enumeration order by an OutcomeMerger.
 ///
-/// Every entry's SynthesisResult is bit-identical to
-/// synthesize(spec, base_options with that width) — same points, stats,
-/// Pareto front — for every thread count and both prune settings
+/// Every entry's SynthesisResult depends only on the spec, the options and
+/// its own width — same points, stats and Pareto front as the one-width
+/// set {width}, for every thread count and both prune settings
 /// (elapsed_seconds, which is measured, reports the whole set's wall time).
-/// Infeasible widths yield feasible == false with a default result, exactly
-/// like the InfeasibleWidthError path of synthesize().
+/// Infeasible widths yield feasible == false with a default result
+/// (synthesize() throws InfeasibleWidthError for them instead).
 ///
 /// Progress: base_options.on_progress receives SWEEP-GLOBAL totals —
 /// `completed` increases monotonically 1..total over all (candidate, width)
@@ -129,8 +132,8 @@ std::vector<WidthSweepEntry> synthesize_width_set(
 ///
 /// The sweep runs on one pool of base_options.threads strands shared by
 /// every internal fan-out, evaluates all widths through
-/// synthesize_width_set() (width-invariant work shared, results
-/// bit-identical to per-width synthesize() calls for every thread count),
+/// synthesize_width_set() (width-invariant work shared, each entry
+/// bit-identical to a synthesize() at its width for every thread count),
 /// and reports sweep-global progress (see synthesize_width_set). `stats`
 /// (optional) receives the telemetry of the underlying width-set
 /// synthesis.

@@ -235,11 +235,14 @@ struct RouteOutcome {
   /// candidate dominated (success is false; nothing else is meaningful
   /// except the lower bounds below).
   bool pruned = false;
-  /// True when per-flow bound checks were active for the pass that produced
-  /// this outcome; on SUCCESS the lower bounds below then hold the
-  /// last-checkpoint values (the bound trajectory is independent of the
-  /// front consulted, so a later re-check against a richer front decides
-  /// exactly what a run against that front would have decided).
+  /// True when at least one per-flow bound check ran in the pass that
+  /// produced this outcome; the lower bounds below then hold the values of
+  /// the last check, whether the pass was pruned there, failed on a later
+  /// flow or succeeded. Along one pass both bounds never decrease (each
+  /// routed flow adds a non-negative amount) and the trajectory is
+  /// independent of the front consulted, so a later re-check of the last
+  /// checkpoint against a richer front decides exactly what a run against
+  /// that front would have decided at every checkpoint of the pass.
   bool bound_checked = false;
   double pruned_power_lb_w = 0.0;        ///< power bound at the last checkpoint
   double pruned_latency_lb_cycles = 0.0; ///< avg-latency bound at the last checkpoint

@@ -47,12 +47,12 @@ struct InfeasibleWidthError : std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-/// Progress of one synthesize() run, reported after each candidate finishes
-/// evaluation. `completed` counts evaluated candidates, `total` is the size
-/// of the enumerated candidate list (== stats.configs_explored at the end).
-/// `link_width_bits` identifies the run, so a renderer fed by a concurrent
-/// width sweep (explore_link_widths) can tell the interleaved per-width
-/// streams apart — `completed` is monotonic per width, not across widths.
+/// Progress of one synthesis run, reported after each (candidate, width)
+/// evaluation finishes. `completed` counts the evaluations so far, `total`
+/// is their overall count (for synthesize(), the enumerated candidate list
+/// == stats.configs_explored at the end), and `link_width_bits` names the
+/// width whose evaluation completed, so a renderer fed by a width sweep
+/// (explore_link_widths) can tell the interleaved widths apart.
 struct SynthesisProgress {
   std::size_t completed = 0;
   std::size_t total = 0;
@@ -91,13 +91,6 @@ struct SynthesisOptions {
   /// dominated interior points disappear from `points` (counted in
   /// stats.rejected_pruned). Turn off to keep every routed design point.
   bool prune = true;
-  /// With pruning on, replay any candidate whose concurrent prune decision
-  /// could differ from the sequential one, making the result bit-identical
-  /// for every thread count (the replays are rare; threads == 1 never
-  /// replays). Turning this off skips the replays: the front is still
-  /// exact, but WHICH dominated points are dropped may vary with thread
-  /// scheduling.
-  bool deterministic_prune = true;
   /// Candidate-level delta evaluation: the first candidate of each
   /// enumeration group (same per-island switch counts, k_int = 0) records
   /// its routed hop sequences; adjacent group members replay the routes of
@@ -110,17 +103,17 @@ struct SynthesisOptions {
   /// Worker strands for the candidate-evaluation stage: 1 = fully
   /// sequential (default), 0 = hardware concurrency, N = exactly N.
   /// Results are bit-identical for every value (candidates are evaluated
-  /// independently and merged in enumeration order; pruning stays
-  /// deterministic via deterministic_prune), so this is purely a
-  /// wall-clock knob.
+  /// independently and merged in enumeration order; a candidate whose
+  /// concurrent prune decision could differ from the sequential one is
+  /// replayed in the merge), so this is purely a wall-clock knob.
   int threads = 1;
   /// Optional progress hook, invoked after each candidate evaluation with
   /// monotonically increasing `completed`. With threads != 1 it is called
   /// from worker threads (serialised by an internal mutex); keep it cheap
   /// and do not call back into the synthesis API from inside it.
   std::function<void(const SynthesisProgress&)> on_progress;
-  /// Cooperative cancellation: when set, synthesize() and
-  /// synthesize_width_set() poll the token between candidate evaluations
+  /// Cooperative cancellation: when set, the synthesis polls the token
+  /// between candidate evaluations
   /// and abort with exec::CancelledError once it reports cancelled — the
   /// campaign engine's job timeouts, --deadline budget and SIGINT handling
   /// all arrive through here. Like `threads`/`on_progress` this is a pure
@@ -206,35 +199,29 @@ struct SynthesisResult {
   [[nodiscard]] const DesignPoint& best_latency() const;
 };
 
-/// Runs Algorithm 1 on `spec` (throws std::invalid_argument if
-/// spec.validate() reports problems, InfeasibleWidthError if an NI link
-/// cannot be sustained at options.link_width_bits).
+/// Runs Algorithm 1 on `spec` at options.link_width_bits (throws
+/// std::invalid_argument if spec.validate() reports problems,
+/// InfeasibleWidthError if an NI link cannot be sustained at that width).
 ///
-/// Staged engine: candidates are first ENUMERATED (pure, sequential — the
-/// (outer x inner) sweep of the paper, deduplicated on saturation), their
-/// per-(island, switch-count) min-cut partitions computed once each, then
-/// every candidate is EVALUATED independently (partition lookup -> switch
-/// placement -> routing -> metrics) across options.threads strands and
-/// merged back in enumeration order, so the result does not depend on the
-/// thread count. See vinoc/core/candidates.hpp for the stage boundary.
+/// One width is the one-width case of the width set: this is
+/// synthesize_width_set(spec, {options.link_width_bits}, options, ...)
+/// (vinoc/core/explore.hpp), which enumerates the candidates of the
+/// paper's (outer x inner) sweep, computes each needed min-cut partition
+/// once, evaluates every candidate independently across options.threads
+/// strands and merges them back in enumeration order, so the result does
+/// not depend on the thread count. See vinoc/core/candidates.hpp for the
+/// stage boundary.
 SynthesisResult synthesize(const soc::SocSpec& spec,
                            const SynthesisOptions& options = {});
 
-/// Same, but evaluates candidates on an existing pool instead of creating
-/// one from options.threads. Used by explore_link_widths() so the width
-/// sweep and every per-width candidate sweep share one set of workers;
-/// nested use is safe (see vinoc/exec/thread_pool.hpp).
-SynthesisResult synthesize(const soc::SocSpec& spec,
-                           const SynthesisOptions& options,
-                           exec::ThreadPool& pool);
-
 class EvalScratchPool;  // vinoc/core/candidates.hpp
 
-/// Same, additionally reusing the caller's per-worker scratch arenas
-/// (preallocated router/metrics/placement buffers). Batch drivers — the
-/// width sweep, the campaign engine — keep one EvalScratchPool alive across
-/// many synthesize() calls so buffers are allocated once per worker, not
-/// once per run. Results are identical with or without it.
+/// Same, but evaluates candidates on an existing pool and reuses the
+/// caller's per-worker scratch arenas (preallocated router/metrics/
+/// placement buffers) instead of creating both per call. Batch drivers keep
+/// one pool and one EvalScratchPool alive across many runs so buffers are
+/// allocated once per worker, not once per run; nested use of the pool is
+/// safe (see vinoc/exec/thread_pool.hpp). Results are identical either way.
 SynthesisResult synthesize(const soc::SocSpec& spec,
                            const SynthesisOptions& options,
                            exec::ThreadPool& pool, EvalScratchPool& scratch);

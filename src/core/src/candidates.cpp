@@ -463,10 +463,10 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
     const double n_flows = static_cast<double>(ctx.spec.flows.size());
     base_avg_lat =
         ctx.spec.flows.empty() ? 0.0 : base.latency_sum_lb_cycles / n_flows;
+    out.base_lb_power_w = out.lb_power_w = base_power;
+    out.base_lb_latency_cycles = out.lb_latency_cycles = base_avg_lat;
     if (bound->dominated(base_power, base_avg_lat)) {
       out.status = EvalStatus::kPruned;
-      out.pruned_power_lb_w = base_power;
-      out.pruned_latency_lb_cycles = base_avg_lat;
       return out;
     }
     rbound.front = bound;
@@ -499,10 +499,19 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
                            bound != nullptr ? &rbound : nullptr, delta_record,
                            delta);
   }();
+  // Record the LAST bound checkpoint of this evaluation: the router's
+  // per-flow bounds when they were active, else the pre-routing floor
+  // already recorded (the only checkpoint of a fallback-gated pass or of a
+  // failure on the first flow). The trajectory does not depend on which
+  // front was consulted, so the merge stage can re-check these values
+  // against the enumeration-ordered front and decide exactly what a
+  // sequential run would have decided.
+  if (bound != nullptr && outcome.bound_checked) {
+    out.lb_power_w = outcome.pruned_power_lb_w;
+    out.lb_latency_cycles = outcome.pruned_latency_lb_cycles;
+  }
   if (outcome.pruned) {
     out.status = EvalStatus::kPruned;
-    out.pruned_power_lb_w = outcome.pruned_power_lb_w;
-    out.pruned_latency_lb_cycles = outcome.pruned_latency_lb_cycles;
     return out;
   }
   if (!outcome.success) {
@@ -511,18 +520,6 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
     return out;
   }
   out.status = EvalStatus::kRouted;
-  if (bound != nullptr) {
-    // Record the LAST bound checkpoint of this evaluation: the router's
-    // per-flow bounds when they were active, else the pre-routing floor
-    // (the only checkpoint of a fallback-gated pass). The trajectory does
-    // not depend on which front was consulted, so the merge stage can
-    // re-check these values against the enumeration-ordered front and
-    // decide exactly what a sequential run would have decided.
-    out.pruned_power_lb_w =
-        outcome.bound_checked ? outcome.pruned_power_lb_w : rbound.base_power_lb_w;
-    out.pruned_latency_lb_cycles =
-        outcome.bound_checked ? outcome.pruned_latency_lb_cycles : base_avg_lat;
-  }
   // The router may leave some offered intermediate switches unused; drop
   // them so designs deduplicate cleanly across k_int values (several k_int
   // can collapse onto the same effective design).
@@ -556,33 +553,34 @@ void OutcomeMerger::add(CandidateOutcome&& out) {
   // saved-point list are independent of how the evaluations were scheduled
   // (bit-identical to a sequential run).
   //
-  // Every outcome evaluated with a bound carries the monotone lower bounds
-  // of its LAST checkpoint (abort point when pruned, end of evaluation when
-  // routed), and the bound trajectory does not depend on which front was
+  // Every outcome evaluated with a bound carries the lower bounds of its
+  // pre-routing checkpoint and of its LAST checkpoint (abort point when
+  // pruned), and the bound trajectory does not depend on which front was
   // consulted. A concurrent snapshot can diverge from the sequential front
   // in both directions, and the merge reconciles both exactly:
   //
   //  * kPruned under a snapshot that was AHEAD (contains later-enumerated
-  //    points): if the merge front does not dominate the recorded bounds,
-  //    the sequential run would have kept evaluating — REPLAY against the
-  //    merge front (deterministic mode). When it does dominate them,
-  //    monotonicity guarantees the sequential run pruned too.
-  //  * kRouted under a snapshot that was BEHIND (stale/empty): if the merge
-  //    front dominates the recorded last-checkpoint bounds, the sequential
-  //    run would have pruned at that checkpoint at the latest — count it
-  //    pruned (no replay needed: a pruned candidate contributes nothing
-  //    else). A sequential run never trips this (its snapshot dominance-
-  //    equals the merge front), so it costs nothing when threads == 1.
+  //    points or points the merge rejects): if the merge front dominates
+  //    the abort checkpoint, the sequential run pruned there at the latest;
+  //    otherwise it would have kept evaluating — REPLAY against the merge
+  //    front.
+  //  * Routed or rejected under a snapshot that was BEHIND (stale/empty):
+  //    the router's checkpoints never decrease, so if the merge front
+  //    dominates neither the pre-routing nor the last checkpoint, it
+  //    dominated no checkpoint; if it dominates either, the sequential run
+  //    pruned there at the latest — count it pruned (no replay needed: a
+  //    pruned candidate contributes nothing else). A sequential run never
+  //    trips this (its snapshot dominance-equals the merge front), so it
+  //    costs nothing when threads == 1.
   const std::size_t i = index_++;
   ++result_.stats.configs_explored;
-  if (out.status == EvalStatus::kPruned && options_.deterministic_prune &&
-      !merge_bound_.dominated(out.pruned_power_lb_w,
-                              out.pruned_latency_lb_cycles)) {
+  if (out.status == EvalStatus::kPruned &&
+      !merge_bound_.dominated(out.lb_power_w, out.lb_latency_cycles)) {
     out = replay_(i, merge_bound_);
   }
-  if (options_.prune && out.status == EvalStatus::kRouted &&
-      merge_bound_.dominated(out.pruned_power_lb_w,
-                             out.pruned_latency_lb_cycles)) {
+  if (options_.prune && out.status != EvalStatus::kPruned &&
+      (merge_bound_.dominated(out.base_lb_power_w, out.base_lb_latency_cycles) ||
+       merge_bound_.dominated(out.lb_power_w, out.lb_latency_cycles))) {
     out.status = EvalStatus::kPruned;
   }
   if (out.status == EvalStatus::kPruned) {
@@ -622,15 +620,6 @@ void OutcomeMerger::finish() {
                                 [this](std::size_t idx) -> const Metrics& {
                                   return result_.points[idx].metrics;
                                 });
-}
-
-void merge_candidate_outcomes(
-    std::vector<CandidateOutcome>&& outcomes, const SynthesisOptions& options,
-    const std::function<CandidateOutcome(std::size_t, const ParetoBound&)>& replay,
-    SynthesisResult& result) {
-  OutcomeMerger merger(options, replay, result);
-  for (CandidateOutcome& out : outcomes) merger.add(std::move(out));
-  merger.finish();
 }
 
 }  // namespace vinoc::core

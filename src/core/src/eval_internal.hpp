@@ -1,7 +1,7 @@
-// Internal helper of the candidate stage shared by synthesize()
-// (candidates.cpp: compute_partitions) and the width sweep (explore.cpp:
-// the cross-width partition cache). NOT part of the public API —
-// intra-module include only.
+// Internal helper of the candidate stage shared by compute_partitions()
+// (candidates.cpp) and the width-set driver (explore.cpp: the cross-width
+// partition cache). NOT part of the public API — intra-module include
+// only.
 #pragma once
 
 #include "vinoc/core/candidates.hpp"

@@ -84,8 +84,8 @@ std::vector<WidthSweepEntry> synthesize_width_set(
 
   // Per-width derived parameters; group the feasible widths into structural
   // classes (an empty class key marks an infeasible width — an NI link
-  // exceeds attainable bandwidth — recorded exactly like the
-  // InfeasibleWidthError path of synthesize()).
+  // exceeds attainable bandwidth — recorded as feasible == false, which
+  // synthesize() turns into InfeasibleWidthError).
   std::vector<WidthParams> params(widths.size());
   std::vector<WidthClass> classes;
   std::map<std::vector<int>, std::size_t> class_of_key;
@@ -184,11 +184,16 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     }
   }
 
-  // Candidate-level delta evaluation: same group map as synthesize() —
-  // consecutive candidates sharing switches_per_island — with one reference
-  // slot per (class, width), since the recorded hop sequences are
-  // width-dependent (frequencies and capacities differ). Publication is
-  // opportunistic; members without a published reference evaluate solo.
+  // Candidate-level delta evaluation: a GROUP is a run of consecutive
+  // candidates sharing switches_per_island (the inner k_int sweep), and its
+  // first candidate (k_int == 0) is the group reference, which records its
+  // routed hop sequences; once published, later members replay the routes
+  // of flows the k_int diff cannot affect (see route_all_flows). There is
+  // one reference slot per (class, width), since the recorded hop
+  // sequences are width-dependent (frequencies and capacities differ).
+  // Publication is opportunistic — a member that runs before its reference
+  // finishes evaluates from scratch — so results stay bit-identical for
+  // every thread schedule, and threads == 1 always replays.
   struct DeltaPlan {
     std::vector<int> group_of;   ///< per candidate of the class
     std::vector<char> leader;    ///< per candidate: first of its group
@@ -240,8 +245,8 @@ std::vector<WidthSweepEntry> synthesize_width_set(
   // Per-width shared Pareto bounds (prune snapshots; the merge below
   // restores exact sequential pruning semantics regardless of snapshot
   // timing). With pruning on, an evaluation whose snapshot is still empty
-  // runs against `empty_bound`, so its checkpoint lower bounds are recorded
-  // exactly as in synthesize().
+  // runs against `empty_bound`, so the checkpoint lower bounds the merge
+  // re-checks are recorded for EVERY candidate.
   std::vector<SharedParetoBound> bounds(widths.size());
   const ParetoBound empty_bound;
 
@@ -305,8 +310,9 @@ std::vector<WidthSweepEntry> synthesize_width_set(
 
   exec::parallel_for_each(pool, units.size(), [&](std::size_t u) {
     OBS_SPAN("sweep_unit");
-    // Cancellation poll, once per (candidate, class) unit — the sweep's
-    // equivalent of synthesize()'s per-candidate poll.
+    // Cancellation poll, once per (candidate, class) unit: a cancelled run
+    // throws here on every remaining unit, so the fan-out drains fast and
+    // parallel_for_each rethrows the lowest-index CancelledError.
     if (base_options.cancel != nullptr) {
       base_options.cancel->check("synthesize_width_set");
     }
@@ -320,7 +326,7 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     // geometry token spans all of them, so the hop/leakage matrices and
     // class runs are built once (positions and admissibility are
     // width-invariant). Per (class, width), the group reference's hop
-    // record replays for adjacent group members exactly as in synthesize().
+    // record replays for adjacent group members.
     std::vector<CandidateOutcome> outs(wc.width_indices.size());
     es.router.geometry_token = ++es.router.geometry_token_counter;
     for (std::size_t j = 0; j < wc.width_indices.size(); ++j) {

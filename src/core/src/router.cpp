@@ -301,25 +301,21 @@ class Router {
         lat_sum_lb_ += topo_.routes[f].latency_cycles -
                        (*bound_->min_flow_latency)[f];
         const double avg_lb = lat_sum_lb_ * inv_flows;
+        // Expose this checkpoint whatever comes next (prune, a later flow
+        // failing, or success): the merge stage re-checks the last one
+        // against the enumeration-ordered front to decide whether a
+        // sequential run (with a possibly richer front than our snapshot)
+        // would have pruned this candidate.
+        outcome.bound_checked = true;
+        outcome.pruned_power_lb_w = power_lb_;
+        outcome.pruned_latency_lb_cycles = avg_lb;
         if (bound_->front->dominated(power_lb_, avg_lb)) {
           outcome.pruned = true;
-          outcome.bound_checked = true;
-          outcome.pruned_power_lb_w = power_lb_;
-          outcome.pruned_latency_lb_cycles = avg_lb;
           return outcome;
         }
       }
     }
     outcome.success = true;
-    if (bounding) {
-      // Expose the last-checkpoint bounds: the merge stage re-checks them
-      // against the enumeration-ordered front to decide whether a
-      // sequential run (with a possibly richer front than our snapshot)
-      // would have pruned this candidate.
-      outcome.bound_checked = true;
-      outcome.pruned_power_lb_w = power_lb_;
-      outcome.pruned_latency_lb_cycles = lat_sum_lb_ * inv_flows;
-    }
     return outcome;
   }
 

@@ -439,6 +439,35 @@ TEST(CampaignEngine, WidthGroupsShareStructuresAcrossJobs) {
   EXPECT_EQ(warm.structure_shared_jobs(), 0);
 }
 
+TEST(CampaignEngine, OneWidthJobsReportTheirSynthesisTelemetry) {
+  // A job alone in its structure group is the one-width width set: its
+  // delta and buffered-outcome telemetry reaches the campaign counters like
+  // a shared group's, while the structure-sharing counters stay 0.
+  CampaignSpec spec = small_campaign();
+  spec.widths = {32};
+  ResultCache cache;
+  CampaignOptions opt;
+  opt.threads = 2;
+  opt.cache = &cache;
+  const CampaignResult result = run_campaign(spec, opt);
+  ASSERT_EQ(result.jobs_run(), 8);
+  int delta_candidates = 0;
+  int peak_buffered = 0;
+  for (const CampaignJob& job : expand_jobs(spec)) {
+    const auto computed = cache.find_result(job.key);
+    ASSERT_NE(computed, nullptr) << job.name;
+    delta_candidates += computed->stats.delta_candidates;
+    peak_buffered =
+        std::max(peak_buffered, computed->stats.peak_buffered_outcomes);
+  }
+  EXPECT_GT(delta_candidates, 0);
+  EXPECT_EQ(result.delta_candidates(), delta_candidates);
+  EXPECT_GE(peak_buffered, 1);
+  EXPECT_EQ(result.peak_buffered_outcomes(), peak_buffered);
+  EXPECT_EQ(result.structure_groups(), 0);
+  EXPECT_EQ(result.structure_shared_jobs(), 0);
+}
+
 TEST(CampaignEngine, ResumeSummarySerializationIsCanonical) {
   // CampaignResult::metrics is the single source of the CLI's
   // resume_summary line (io::registry_record with an empty record name).

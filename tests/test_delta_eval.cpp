@@ -1,8 +1,8 @@
 // Candidate-level delta evaluation: bit-identity of the config-diff replay
-// path against from-scratch evaluation (threads x prune x deterministic_prune
-// on seed benchmarks and synthetic multi-island specs), the forced
-// route-equivalence certificate (every replayed route re-derived by the
-// flow's own Dijkstra and compared hop-by-hop, zero rejects), reuse-counter
+// path against from-scratch evaluation (threads x prune on seed benchmarks
+// and synthetic multi-island specs), the forced route-equivalence
+// certificate (every replayed route re-derived by the flow's own Dijkstra
+// and compared hop-by-hop, zero rejects), reuse-counter
 // sanity at threads == 1 (the reference always precedes its members), and
 // composition with the width sweep on both the default and fine width grids.
 #include <gtest/gtest.h>
@@ -65,17 +65,6 @@ TEST(DeltaEval, BitIdenticalToFromScratchForThreadsAndPrune) {
       }
     }
   }
-}
-
-TEST(DeltaEval, DeterministicPruneOffStaysBitIdentical) {
-  const soc::SocSpec spec = islanded(soc::make_d26_media_soc(), 4);
-  SynthesisOptions off;
-  off.deterministic_prune = false;
-  off.delta_eval = false;
-  const std::uint64_t ref = fp(synthesize(spec, off));
-  SynthesisOptions on = off;
-  on.delta_eval = true;
-  EXPECT_EQ(fp(synthesize(spec, on)), ref);
 }
 
 TEST(DeltaEval, ForcedCertificateAcceptsEveryReplay) {

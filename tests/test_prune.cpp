@@ -1,8 +1,11 @@
 // Pareto-bound pruning: the bound oracle itself, front preservation
 // (pruned mode must keep the exact Pareto front / best points of the
 // unpruned sweep on the seed benchmarks), determinism across thread counts
-// (the merge-time replay), and scratch-arena bit-identity.
+// (the merge-time replay and checkpoint re-check), and scratch-arena
+// bit-identity.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "vinoc/core/candidates.hpp"
 #include "vinoc/core/prune.hpp"
@@ -173,26 +176,6 @@ TEST(Prune, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(Prune, NonDeterministicModeStillPreservesFront) {
-  const soc::Benchmark d36 = soc::make_d36_settop_soc();
-  const soc::SocSpec spec = soc::with_logical_islands(d36.soc, 1, d36.use_cases);
-  SynthesisOptions off;
-  off.prune = false;
-  const SynthesisResult full = synthesize(spec, off);
-  SynthesisOptions fast;
-  fast.prune = true;
-  fast.deterministic_prune = false;
-  fast.threads = 4;
-  const SynthesisResult r = synthesize(spec, fast);
-  ASSERT_EQ(r.pareto.size(), full.pareto.size());
-  for (std::size_t i = 0; i < r.pareto.size(); ++i) {
-    EXPECT_EQ(r.points[r.pareto[i]].metrics.noc_dynamic_w,
-              full.points[full.pareto[i]].metrics.noc_dynamic_w);
-    EXPECT_EQ(r.points[r.pareto[i]].metrics.avg_latency_cycles,
-              full.points[full.pareto[i]].metrics.avg_latency_cycles);
-  }
-}
-
 TEST(Prune, ScratchPoolReuseIsBitIdenticalAcrossRuns) {
   const soc::Benchmark d16 = soc::make_d16_auto_soc();
   const soc::SocSpec spec = soc::with_logical_islands(d16.soc, 3, d16.use_cases);
@@ -229,6 +212,54 @@ TEST(Prune, ZeroFlowSpecSynthesizesWithPruningOn) {
     EXPECT_TRUE(p.topology.links.empty());
     EXPECT_EQ(p.metrics.avg_latency_cycles, 0.0);
   }
+}
+
+TEST(Prune, MergeRechecksThePreRoutingAndLastCheckpoints) {
+  // An evaluation that ran against a stale snapshot reaches the merge
+  // routed or rejected; the merge must prune it exactly when a sequential
+  // run would have pruned it at ANY checkpoint. The pre-routing latency
+  // bound divides by the flow count and the router multiplies by its
+  // reciprocal, so the last checkpoint can sit one ulp below the
+  // pre-routing one: a front point dominating only the pre-routing bounds
+  // must still prune.
+  SynthesisOptions opt;  // prune on
+  SynthesisResult result;
+  OutcomeMerger merger(
+      opt,
+      [](std::size_t, const ParetoBound&) {
+        ADD_FAILURE() << "no outcome here needs a replay";
+        return CandidateOutcome{};
+      },
+      result);
+  auto outcome = [](EvalStatus status, double base_power, double base_latency,
+                    double power, double latency, int signature) {
+    CandidateOutcome o;
+    o.status = status;
+    o.base_lb_power_w = base_power;
+    o.base_lb_latency_cycles = base_latency;
+    o.lb_power_w = power;
+    o.lb_latency_cycles = latency;
+    o.point.metrics.noc_dynamic_w = power;
+    o.point.metrics.avg_latency_cycles = latency;
+    o.signature = {signature};
+    return o;
+  };
+  // Saved: puts (1.0, 3.0) on the merge front.
+  merger.add(outcome(EvalStatus::kRouted, 0.5, 2.0, 1.0, 3.0, 0));
+  // Pre-routing bounds dominated, last ones one ulp below in latency.
+  merger.add(outcome(EvalStatus::kRouted, 1.1, 3.0, 1.2,
+                     std::nextafter(3.0, 0.0), 1));
+  // Failed on a later flow after a dominated checkpoint.
+  merger.add(outcome(EvalStatus::kRejectedLatency, 0.9, 2.0, 1.5, 3.5, 2));
+  // Dominated at no checkpoint: saved.
+  merger.add(outcome(EvalStatus::kRouted, 0.6, 2.0, 0.8, 3.2, 3));
+  merger.finish();
+  EXPECT_EQ(result.stats.configs_explored, 4);
+  EXPECT_EQ(result.stats.rejected_pruned, 2);
+  EXPECT_EQ(result.stats.rejected_latency, 0);
+  EXPECT_EQ(result.stats.configs_saved, 2);
+  ASSERT_EQ(result.points.size(), 2u);
+  EXPECT_EQ(result.points[1].metrics.noc_dynamic_w, 0.8);
 }
 
 }  // namespace

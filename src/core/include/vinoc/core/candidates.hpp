@@ -14,9 +14,11 @@
 //      reads only const shared state (EvalContext) and touches no globals,
 //      so any number of candidates can be evaluated concurrently.
 //
-// Between the stages sits compute_partitions(): the per-(island, k) min-cut
-// partitions every candidate needs, memoized so partitioning runs once per
-// island/switch-count pair instead of once per inner-loop iteration.
+// Between the stages sit the per-(island, k) min-cut partitions every
+// candidate needs, memoized so partitioning runs once per island/switch-
+// count pair instead of once per inner-loop iteration: the driver shares
+// them across widths, and compute_partitions() computes them for one
+// width's candidate list.
 //
 // The one driver, synthesize_width_set() (vinoc/core/explore.hpp; a plain
 // synthesize() is its one-width case), then merges outcomes back IN

@@ -108,13 +108,16 @@ struct CampaignResult {
   std::vector<JobRecord> records;  ///< job order
   ExpandStats expand;
 
-  /// The single source of truth for every campaign counter, accumulated in
-  /// per-worker obs registry shards and merged deterministically after the
-  /// pool joins. Counters are registered in the CANONICAL resume_summary
-  /// field order (test_campaign locks the serialization in), so
+  /// The single source of truth for every campaign counter. Outcome
+  /// counters (run, cache_hits, infeasible, total, job_timeouts,
+  /// quarantined_jobs, skipped_jobs) are counted from `records`; telemetry
+  /// accumulates in per-worker obs registry shards merged deterministically
+  /// after the pool joins. One function registers them in the CANONICAL
+  /// resume_summary field order for both the engine and the shard
+  /// supervisor (test_campaign locks the serialization in), so
   /// io::registry_record emits the CLI's resume_summary line and --json
-  /// record directly — there is no hand-maintained duplicate field list to
-  /// drift. The accessors below are thin views for programmatic use:
+  /// record directly. The accessors below are thin views for programmatic
+  /// use:
   ///
   ///   run                    jobs actually synthesized this run
   ///   cache_hits, infeasible, total
@@ -170,7 +173,8 @@ struct CampaignResult {
   [[nodiscard]] int retries() const {
     return static_cast<int>(metrics.value("retries"));
   }
-  /// Jobs abandoned by --job-timeout (a subset of quarantined_jobs).
+  /// Jobs abandoned by --job-timeout, one per "timeout" record (a subset of
+  /// quarantined_jobs).
   [[nodiscard]] int job_timeouts() const {
     return static_cast<int>(metrics.value("job_timeouts"));
   }
@@ -201,13 +205,10 @@ struct CampaignResult {
     return metrics.value("interrupted") != 0;
   }
 
-  /// Fraction of delta-eligible flows served without a live Dijkstra
-  /// (also stored as the registry gauge "delta_reuse_rate").
+  /// Fraction of delta-eligible flows served without a live Dijkstra (the
+  /// registry gauge "delta_reuse_rate").
   [[nodiscard]] double delta_reuse_rate() const {
-    const long long reused = delta_flows_reused() + delta_flows_certified();
-    const long long total = reused + delta_flows_rerouted();
-    return total > 0 ? static_cast<double>(reused) / static_cast<double>(total)
-                     : 0.0;
+    return metrics.gauge("delta_reuse_rate");
   }
 
   /// All records as JSONL text (one line each, trailing newline).

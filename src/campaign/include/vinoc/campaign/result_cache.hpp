@@ -19,11 +19,11 @@
 // signature of a SIGKILL mid-append) are moved to <dir>/store.quarantine.jsonl
 // and counted in recovered_records; checksum-less v1 lines that still parse
 // are upgraded in place; the cleaned store is republished atomically
-// (temp + rename), so the dangerous append-after-torn-tail case — where a
-// new record would concatenate onto a half-written line and corrupt BOTH —
-// cannot occur. An optional size cap evicts oldest-first. Store writes
-// never throw: after repeated append failures the cache degrades to its
-// memory tiers and keeps the campaign running (counted in
+// (io::write_file: temp + rename), so the dangerous append-after-torn-tail
+// case — where a new record would concatenate onto a half-written line and
+// corrupt BOTH — cannot occur. An optional size cap evicts oldest-first.
+// Store writes never throw: after repeated append failures the cache
+// degrades to its memory tiers and keeps the campaign running (counted in
 // store_write_errors).
 //
 // Thread-safe: all operations take an internal mutex (the engine calls them
@@ -35,6 +35,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +43,28 @@
 #include "vinoc/core/synthesis.hpp"
 
 namespace vinoc::campaign {
+
+/// What one store line holds (classify_store_line). Every store reader —
+/// recovery-on-open, side loads, the shard merger and the verifier — reads
+/// lines through this one classification.
+enum class StoreLine {
+  kRecord,        ///< checksummed record
+  kLegacyRecord,  ///< v1 record without a _crc field
+  kBadChecksum,   ///< _crc mismatch, or not shaped like a JSON object line
+  kBadRecord,     ///< checksum fine (or absent) but the payload is no record
+};
+
+/// Classifies one store line (no trailing newline). On kRecord and
+/// kLegacyRecord `rec` holds the parsed record; `payload` is scratch the
+/// caller may reuse across lines.
+[[nodiscard]] StoreLine classify_store_line(std::string_view line,
+                                            std::string& payload,
+                                            JobRecord& rec);
+
+/// Reads every record out of one store file, in file order (bad lines
+/// skipped, NOT quarantined — the reader does not own the file). Missing
+/// file = empty.
+[[nodiscard]] std::vector<JobRecord> read_store_records(const std::string& path);
 
 /// What load_store()'s recovery pass found/did.
 struct StoreRecoveryStats {

@@ -13,7 +13,7 @@
 // determinism was violated somewhere and must stay visible, not be papered
 // over.
 //
-// The merged store is republished atomically (temp + rename, same as
+// The merged store is republished atomically (io::write_file, same as
 // ResultCache recovery) in job order when the caller supplies one —
 // byte-identical to what a --shards 1 run would have left, modulo wall_ms
 // and keys the order map does not know (appended last, key-sorted). Shard
@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "vinoc/campaign/report.hpp"
+#include "vinoc/campaign/result_cache.hpp"
 
 namespace vinoc::campaign {
 
@@ -48,12 +48,6 @@ struct MergeStats {
 [[nodiscard]] MergeStats merge_shard_stores(
     const std::string& cache_dir,
     const std::vector<std::uint64_t>* job_order = nullptr);
-
-/// Reads every parseable record out of one store file (checksum-verified;
-/// bad lines skipped, NOT quarantined — the reader does not own the file).
-/// Missing file = empty. The supervisor uses this to recover records a
-/// crashed worker computed but whose status lines never arrived.
-[[nodiscard]] std::vector<JobRecord> read_store_records(const std::string& path);
 
 struct VerifyStats {
   std::size_t files = 0;              ///< store + ledger files inspected

@@ -1,4 +1,4 @@
-// Multi-process campaign supervision.
+// Multi-process campaign supervision: a crash-isolation mode, not a speedup.
 //
 // `vinoc campaign --shards N` turns the CLI into a SUPERVISOR: the expanded
 // job matrix is partitioned by content hash into N shards (shard.hpp), each
@@ -6,26 +6,26 @@
 // store-<k>.jsonl and streams checksummed status lines (io/shard_wire.hpp)
 // up a pipe — start heartbeats, done records, a final metrics summary. The
 // supervisor multiplexes the pipes, re-emits records in GLOBAL job order
-// (the same stream a --shards 1 run produces, modulo wall_ms), and watches
-// for trouble:
+// through the engine's own emitter (the same stream a single-process run
+// produces, modulo wall_ms), and watches for trouble:
 //
-//  * CRASH (SIGKILL, segfault, exec failure, undocumented exit code): the
-//    in-flight jobs — attributed through the worker's last start heartbeats
-//    — get a bounded number of crash retries; past the budget they are
-//    quarantined to failed.jsonl with status "failed" (a job that kills its
-//    worker twice is treated as the cause, not a victim). The worker is
-//    respawned over the same manifest with fault injection disarmed; its
-//    shard store serves everything already computed, so a respawn costs one
-//    job, not a shard.
+//  * CRASH (SIGKILL, segfault, undocumented exit code): the in-flight jobs
+//    — attributed through the worker's last start heartbeats — get a
+//    bounded number of crash retries; past the budget they are quarantined
+//    to failed.jsonl with status "failed" (a job that kills its worker
+//    twice is treated as the cause, not a victim). The worker is respawned
+//    over the same manifest with fault injection disarmed, up to
+//    kMaxRespawns (2) times per shard; its shard store serves everything
+//    already computed, so a respawn costs one job, not a shard.
 //  * STALL (no pipe traffic past the watchdog budget, derived from
 //    --job-timeout): the worker is SIGKILLed and handled as a crash. Only
 //    active with a job timeout configured — without one, "slow" and
 //    "stalled" cannot be told apart.
-//  * RESPAWN EXHAUSTION: the shard's remaining jobs are reassigned to a
-//    fresh worker (bounded rounds); when even that fails the supervisor
-//    DEGRADES GRACEFULLY — leftover jobs run in-process through the
-//    ordinary single-process engine, so a sharded campaign never aborts
-//    with less than one record per job.
+//  * FALLBACK: a shard whose respawns are spent, or whose worker cannot
+//    start at all (exec failure, usage/spec exit codes), leaves its
+//    remaining jobs to the ordinary single-process engine, run in-process
+//    after the last worker exits — a sharded campaign never ends with less
+//    than one record per job.
 //  * CANCEL (SIGINT/SIGTERM): relayed as SIGTERM so workers checkpoint and
 //    flush like any CLI run; stragglers are SIGKILLed after a grace period
 //    and unfinished jobs are emitted with status "skipped".
@@ -46,11 +46,11 @@ namespace vinoc::campaign {
 
 struct ShardCampaignOptions {
   /// Engine options shared with workers. Used fields: cache_dir (REQUIRED —
-  /// sharding is pointless without a store, and the manifests/shard stores
-  /// live there), resume, include_timing, stream, on_record, job_timeout_s,
-  /// max_retries, retry_backoff_ms, deadline_s, cancel, threads (the
-  /// in-process degradation path); job_keys/on_job_start/failed_file are
-  /// supervisor-owned and ignored.
+  /// the manifests and shard stores live there), resume, include_timing,
+  /// stream, on_record, job_timeout_s, max_retries, retry_backoff_ms,
+  /// deadline_s, cancel, failed_file (the supervisor's own ledger), threads
+  /// (the in-process fallback); job_keys/on_job_start are supervisor-owned
+  /// and ignored.
   CampaignOptions base;
   /// Worker process count (>= 1). Shards the hash leaves empty spawn no
   /// process.
@@ -63,14 +63,9 @@ struct ShardCampaignOptions {
   std::string spec_path;
   /// --threads forwarded to each worker; 0 = each worker sizes itself.
   int worker_threads = 0;
-  /// Respawns allowed per worker slot before its jobs are reassigned.
-  int max_respawns = 2;
   /// Crash retries per JOB: how many times a job may be in flight during a
   /// worker crash before it is quarantined as the likely cause.
   int crash_retries = 1;
-  /// Reassignment rounds (fresh worker over a dead shard's leftovers)
-  /// before degrading to in-process execution.
-  int max_reassign_rounds = 2;
 };
 
 struct ShardCampaignResult {

@@ -20,6 +20,7 @@
 #include <string_view>
 
 #include "vinoc/core/synthesis.hpp"
+#include "vinoc/io/jsonl.hpp"
 #include "vinoc/soc/soc_spec.hpp"
 
 namespace vinoc::campaign {
@@ -89,9 +90,8 @@ class CanonicalHasher {
 [[nodiscard]] std::uint64_t result_fingerprint(
     const core::SynthesisResult& result);
 
-/// 16 lowercase hex digits, zero-padded (the JSONL spelling of a key).
-[[nodiscard]] std::string key_hex(std::uint64_t key);
-/// Inverse of key_hex; returns false on anything but exactly 16 hex digits.
-[[nodiscard]] bool key_from_hex(std::string_view hex, std::uint64_t& key);
+/// The JSONL spelling of a key (io/jsonl.hpp), re-exported for campaign code.
+using io::key_from_hex;
+using io::key_hex;
 
 }  // namespace vinoc::campaign

@@ -1,65 +1,27 @@
 #include "vinoc/campaign/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 
+#include "record_path.hpp"
 #include "vinoc/campaign/spec_hash.hpp"
 #include "vinoc/core/candidates.hpp"
 #include "vinoc/core/explore.hpp"
 #include "vinoc/exec/cancel.hpp"
 #include "vinoc/exec/parallel_for.hpp"
 #include "vinoc/exec/thread_pool.hpp"
-#include "vinoc/io/jsonl.hpp"
 #include "vinoc/obs/trace.hpp"
 
 namespace vinoc::campaign {
 
 namespace {
-
-/// Reorders concurrently finishing records into job order and flushes each
-/// one (stream + callback + result vector) as soon as all its predecessors
-/// have been flushed — streaming, but deterministic.
-class OrderedEmitter {
- public:
-  OrderedEmitter(const CampaignOptions& options, std::vector<JobRecord>& out)
-      : options_(options), out_(out) {}
-
-  void emit(std::size_t index, JobRecord record) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    pending_.emplace(index, std::move(record));
-    for (auto it = pending_.find(next_); it != pending_.end();
-         it = pending_.find(next_)) {
-      JobRecord& rec = it->second;
-      if (options_.stream != nullptr) {
-        const std::string line =
-            record_to_jsonl(rec, options_.include_timing) + "\n";
-        std::fputs(line.c_str(), options_.stream);
-        std::fflush(options_.stream);
-      }
-      if (options_.on_record) options_.on_record(rec);
-      out_.push_back(std::move(rec));
-      pending_.erase(it);
-      ++next_;
-    }
-  }
-
- private:
-  const CampaignOptions& options_;
-  std::vector<JobRecord>& out_;
-  std::mutex mutex_;
-  std::map<std::size_t, JobRecord> pending_;
-  std::size_t next_ = 0;
-};
 
 /// Deterministic backoff jitter: splitmix64 over (seed, job key, attempt),
 /// mapped to [0.5, 1.0) — no global RNG, so two runs of the same campaign
@@ -111,7 +73,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
     jobs = std::move(kept);
   }
-  out.records.reserve(jobs.size());
 
   ResultCache own_cache(options.cache != nullptr ? std::string()
                                                  : options.cache_dir);
@@ -138,33 +99,16 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
   // Quarantine ledger: one checksummed line per job that ended "failed" or
   // "timeout", beside the store (memory-only runs keep counters only).
-  std::mutex failed_mutex;
-  std::ofstream failed_out;
-  auto quarantine_job = [&](const CampaignJob& job, const JobFailure& failure) {
-    if (cache.dir().empty()) return;
-    const std::lock_guard<std::mutex> lock(failed_mutex);
-    if (!failed_out.is_open()) {
-      failed_out.open(
-          (std::filesystem::path(cache.dir()) / options.failed_file).string(),
-          std::ios::app);
-    }
-    if (!failed_out) return;  // ledger I/O must never fail the campaign
-    io::JsonlWriter w;
-    w.field("campaign", spec.name)
-        .field("job", job.name)
-        .field("key", key_hex(job.key))
-        .field("status", failure.status)
-        .field("error", failure.error)
-        .field("attempts", failure.attempts);
-    failed_out << io::add_line_checksum(w.line()) << '\n' << std::flush;
-  };
-
-  OrderedEmitter emitter(options, out.records);
-  // All campaign counters accumulate in per-worker obs registry shards
+  FailureLedger ledger(
+      cache.dir().empty()
+          ? std::string()
+          : (std::filesystem::path(cache.dir()) / options.failed_file).string());
+  RecordEmitter emitter(options, jobs.size());
+  // Telemetry counters accumulate in per-worker obs registry shards
   // (integer sums; the buffered-outcome high-water as a kMax merge — each
   // group's peak is independent, so max-of-maxes is exact) and merge
-  // deterministically after the pool joins. out.metrics is then built from
-  // the merge in the canonical resume_summary registration order.
+  // deterministically after the pool joins. The outcome counters are
+  // derived from the records afterwards (campaign_summary).
   obs::ShardedRegistry metrics;
 
   // The campaign-level structure cache: jobs that differ ONLY in
@@ -211,8 +155,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         rec.width = job.width;
         rec.seed = job.seed;
         rec.cache_hit = true;
-        metrics.local().add("cache_hits", 1);
-        if (!rec.feasible) metrics.local().add("infeasible", 1);
         emitter.emit(i, std::move(rec));
         return true;
       }
@@ -220,7 +162,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     if (auto result = cache.find_result(job.key)) {
       rec = summarize(spec.name, job, result.get());
       rec.cache_hit = true;  // wall_ms stays 0: the hit costs nothing
-      metrics.local().add("cache_hits", 1);
       JobRecord stored = rec;
       stored.cache_hit = false;  // the store holds computed-job records
       cache.put_record(stored);
@@ -237,12 +178,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     const CampaignJob& job = jobs[i];
     JobRecord rec = summarize(spec.name, job, result.get());
     rec.wall_ms = wall_ms;
-    if (result != nullptr) {
-      cache.put_result(job.key, result);
-    } else {
-      metrics.local().add("infeasible", 1);
-    }
-    metrics.local().add("run", 1);
+    if (result != nullptr) cache.put_result(job.key, result);
     cache.put_record(rec);  // cache_hit is false here by construction
     emitter.emit(i, std::move(rec));
   };
@@ -254,12 +190,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     const CampaignJob& job = jobs[i];
     JobRecord rec = summarize(spec.name, job, nullptr);
     rec.status = failure.status;
-    obs::Registry& shard = metrics.local();
-    if (rec.status == "skipped") {
-      shard.add("skipped_jobs", 1);
-    } else {
-      shard.add("quarantined_jobs", 1);
-      quarantine_job(job, failure);
+    if (rec.status != "skipped") {
+      ledger.append(spec.name, job, failure.status, failure.error,
+                    failure.attempts);
     }
     emitter.emit(i, std::move(rec));
   };
@@ -297,7 +230,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         }
         // The job's own deadline fired: a timeout, and not worth retrying —
         // the same work would run past the same budget again.
-        metrics.local().add("job_timeouts", 1);
         return JobFailure{"timeout", e.what(), attempt + 1};
       } catch (const std::invalid_argument&) {
         throw;  // spec/option errors are caller bugs, not transient faults
@@ -384,41 +316,17 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   });
 
-  // Build out.metrics from the deterministic shard merge, registering the
-  // counters in the CANONICAL resume_summary order: io::registry_record of
-  // this registry IS the resume_summary line / --json campaign record. New
-  // fields must be registered after the existing ones — the CI greps match
-  // line prefixes, and test_campaign asserts this exact serialization.
-  const obs::Registry acc = metrics.merged();
-  out.metrics.add("run", acc.value("run"));
-  out.metrics.add("cache_hits", acc.value("cache_hits"));
-  out.metrics.add("infeasible", acc.value("infeasible"));
-  out.metrics.add("total", static_cast<std::int64_t>(jobs.size()));
-  out.metrics.add("structure_groups", acc.value("structure_groups"));
-  out.metrics.add("structure_shared_jobs", acc.value("structure_shared_jobs"));
-  out.metrics.record_max("peak_buffered_outcomes",
-                         acc.value("peak_buffered_outcomes"));
-  out.metrics.add("delta_candidates", acc.value("delta_candidates"));
-  out.metrics.add("delta_flows_reused", acc.value("delta_flows_reused"));
-  out.metrics.add("delta_flows_certified", acc.value("delta_flows_certified"));
-  out.metrics.add("delta_flows_rerouted", acc.value("delta_flows_rerouted"));
-  out.metrics.add("delta_cert_rejects", acc.value("delta_cert_rejects"));
-  // Robustness counters (PR 9) — appended AFTER every pre-existing counter
-  // so the CI's resume_summary prefix greps keep matching.
-  out.metrics.add("retries", acc.value("retries"));
-  out.metrics.add("job_timeouts", acc.value("job_timeouts"));
-  out.metrics.add("quarantined_jobs", acc.value("quarantined_jobs"));
-  out.metrics.add("skipped_jobs", acc.value("skipped_jobs"));
-  out.metrics.add("recovered_records",
-                  static_cast<std::int64_t>(cache.recovered_records()));
-  out.metrics.add("evicted_records",
-                  static_cast<std::int64_t>(cache.evicted_records()));
-  out.metrics.add("store_write_errors",
-                  static_cast<std::int64_t>(cache.store_write_errors()));
-  out.metrics.add("interrupted",
-                  options.cancel != nullptr && options.cancel->cancelled() ? 1
-                                                                           : 0);
-  out.metrics.set_gauge("delta_reuse_rate", out.delta_reuse_rate());
+  out.records = emitter.take();
+  obs::Registry telemetry = metrics.merged();
+  telemetry.add("recovered_records",
+                static_cast<std::int64_t>(cache.recovered_records()));
+  telemetry.add("evicted_records",
+                static_cast<std::int64_t>(cache.evicted_records()));
+  telemetry.add("store_write_errors",
+                static_cast<std::int64_t>(cache.store_write_errors()));
+  out.metrics = campaign_summary(
+      out.records, telemetry,
+      options.cancel != nullptr && options.cancel->cancelled());
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t_start)
                    .count();

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "vinoc/faultinject/faultinject.hpp"
+#include "vinoc/io/exports.hpp"
 #include "vinoc/io/jsonl.hpp"
 
 namespace vinoc::campaign {
@@ -20,6 +21,34 @@ namespace {
 constexpr std::uint64_t kDegradeAfterErrors = 3;
 
 }  // namespace
+
+StoreLine classify_store_line(std::string_view line, std::string& payload,
+                              JobRecord& rec) {
+  const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
+  if (cs != io::ChecksumStatus::kOk && cs != io::ChecksumStatus::kAbsent) {
+    return StoreLine::kBadChecksum;
+  }
+  if (!record_from_jsonl(payload, rec)) return StoreLine::kBadRecord;
+  return cs == io::ChecksumStatus::kOk ? StoreLine::kRecord
+                                       : StoreLine::kLegacyRecord;
+}
+
+std::vector<JobRecord> read_store_records(const std::string& path) {
+  std::vector<JobRecord> records;
+  std::string text;
+  if (!io::read_file(path, text)) return records;
+  std::string payload;
+  JobRecord rec;
+  for (std::string_view rest = text; !rest.empty();) {
+    const std::string_view line = io::next_line(rest);
+    if (line.empty()) continue;
+    const StoreLine kind = classify_store_line(line, payload, rec);
+    if (kind == StoreLine::kRecord || kind == StoreLine::kLegacyRecord) {
+      records.push_back(std::move(rec));
+    }
+  }
+  return records;
+}
 
 ResultCache::ResultCache(std::string dir, std::string store_file)
     : dir_(std::move(dir)), store_file_(std::move(store_file)) {
@@ -84,37 +113,19 @@ void ResultCache::put_record(const JobRecord& record) {
 
 void ResultCache::rewrite_store_locked(const std::vector<std::uint64_t>& keys) {
   std::string text;
-  std::uint64_t bytes = 0;
   for (const std::uint64_t key : keys) {
-    const std::string line = record_line(records_.at(key));
-    text += line;
+    text += record_line(records_.at(key));
     text += '\n';
-    bytes += line.size() + 1;
   }
-  const std::string tmp = store_path() + ".tmp";
-  bool ok = false;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (out) {
-      out << text;
-      out.flush();
-      ok = static_cast<bool>(out);
-    }
-  }
-  if (ok) {
-    std::error_code ec;
-    std::filesystem::rename(tmp, store_path(), ec);
-    ok = !ec;
-  }
-  if (!ok) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
+  try {
+    io::write_file(store_path(), text);
+  } catch (const std::exception&) {
     ++store_write_errors_;
     if (store_write_errors_ >= kDegradeAfterErrors) degraded_ = true;
     return;
   }
   store_order_ = keys;
-  store_bytes_ = bytes;
+  store_bytes_ = text.size();
 }
 
 void ResultCache::evict_to_cap_locked() {
@@ -158,24 +169,21 @@ StoreRecoveryStats ResultCache::load_store() {
   std::vector<std::string_view> quarantined;
   std::unordered_set<std::uint64_t> on_disk;
   std::string payload;
+  JobRecord rec;
   for (std::string_view rest = text; !rest.empty();) {
     const std::string_view line = io::next_line(rest);
     if (line.empty()) {
       needs_rewrite = true;  // stray blank line: drop on republish
       continue;
     }
-    const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
-    JobRecord rec;
-    const bool good =
-        (cs == io::ChecksumStatus::kOk || cs == io::ChecksumStatus::kAbsent) &&
-        record_from_jsonl(payload, rec);
-    if (!good) {
+    const StoreLine kind = classify_store_line(line, payload, rec);
+    if (kind == StoreLine::kBadChecksum || kind == StoreLine::kBadRecord) {
       quarantined.push_back(line);
       ++stats.recovered;
       needs_rewrite = true;
       continue;
     }
-    if (cs == io::ChecksumStatus::kAbsent) needs_rewrite = true;  // v1 upgrade
+    if (kind == StoreLine::kLegacyRecord) needs_rewrite = true;  // v1 upgrade
     if (!on_disk.insert(rec.key).second) {
       needs_rewrite = true;  // duplicate line: drop on republish
       continue;
@@ -212,23 +220,14 @@ StoreRecoveryStats ResultCache::load_store() {
 }
 
 std::size_t ResultCache::load_side_store(const std::string& path) {
-  std::string text;
-  if (!io::read_file(path, text)) return 0;
+  std::vector<JobRecord> side = read_store_records(path);
   const std::lock_guard<std::mutex> lock(mutex_);
   std::size_t loaded = 0;
-  std::string payload;
-  for (std::string_view rest = text; !rest.empty();) {
-    const std::string_view line = io::next_line(rest);
-    if (line.empty()) continue;
-    const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
-    JobRecord rec;
-    if ((cs != io::ChecksumStatus::kOk && cs != io::ChecksumStatus::kAbsent) ||
-        !record_from_jsonl(payload, rec)) {
-      continue;  // not ours to quarantine
-    }
+  for (JobRecord& rec : side) {
     // Memory tier only: deliberately NOT added to store_order_, so these
     // records are never rewritten or evicted into this cache's own store.
-    if (records_.emplace(rec.key, std::move(rec)).second) ++loaded;
+    const std::uint64_t key = rec.key;
+    if (records_.emplace(key, std::move(rec)).second) ++loaded;
   }
   return loaded;
 }

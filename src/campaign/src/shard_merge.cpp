@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "vinoc/campaign/result_cache.hpp"
+#include "vinoc/io/exports.hpp"
 #include "vinoc/io/jsonl.hpp"
 
 namespace vinoc::campaign {
@@ -16,17 +18,6 @@ namespace vinoc::campaign {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// The non-empty lines of `text`, as views into it (the last unterminated
-/// chunk comes back as a line and fails its checksum).
-std::vector<std::string_view> split_lines(std::string_view text) {
-  std::vector<std::string_view> lines;
-  while (!text.empty()) {
-    const std::string_view line = io::next_line(text);
-    if (!line.empty()) lines.push_back(line);
-  }
-  return lines;
-}
 
 /// The store files of one cache dir: canonical store.jsonl first (its
 /// records predate any shard's), then store-<k>.jsonl sorted by path so the
@@ -69,22 +60,6 @@ std::vector<std::string> ledger_family(const std::string& cache_dir) {
 
 }  // namespace
 
-std::vector<JobRecord> read_store_records(const std::string& path) {
-  std::vector<JobRecord> records;
-  std::string text;
-  if (!io::read_file(path, text)) return records;
-  for (const std::string_view line : split_lines(text)) {
-    std::string payload;
-    const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
-    if (cs != io::ChecksumStatus::kOk && cs != io::ChecksumStatus::kAbsent) {
-      continue;
-    }
-    JobRecord rec;
-    if (record_from_jsonl(payload, rec)) records.push_back(std::move(rec));
-  }
-  return records;
-}
-
 MergeStats merge_shard_stores(const std::string& cache_dir,
                               const std::vector<std::uint64_t>* job_order) {
   MergeStats stats;
@@ -109,17 +84,16 @@ MergeStats merge_shard_stores(const std::string& cache_dir,
   std::vector<std::uint64_t> first_seen_order;
   std::unordered_map<std::uint64_t, JobRecord> records;
   std::unordered_map<std::uint64_t, std::string> identity;
+  std::string text;
+  std::string payload;
+  JobRecord rec;
   for (const std::string& file : files) {
-    std::string text;
     if (!io::read_file(file, text)) continue;
-    for (const std::string_view line : split_lines(text)) {
-      std::string payload;
-      const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
-      JobRecord rec;
-      const bool good =
-          (cs == io::ChecksumStatus::kOk || cs == io::ChecksumStatus::kAbsent) &&
-          record_from_jsonl(payload, rec);
-      if (!good) {
+    for (std::string_view rest = text; !rest.empty();) {
+      const std::string_view line = io::next_line(rest);
+      if (line.empty()) continue;
+      const StoreLine kind = classify_store_line(line, payload, rec);
+      if (kind == StoreLine::kBadChecksum || kind == StoreLine::kBadRecord) {
         quarantined_lines.push_back(
             io::quarantine_envelope(line, "merge: corrupt line"));
         ++stats.quarantined;
@@ -167,32 +141,15 @@ MergeStats merge_shard_stores(const std::string& cache_dir,
     ordered = first_seen_order;
   }
 
-  std::string text;
+  text.clear();
   for (const std::uint64_t key : ordered) {
     text += io::add_line_checksum(record_to_jsonl(records.at(key)));
     text += '\n';
   }
-  const std::string store_path =
-      (fs::path(cache_dir) / "store.jsonl").string();
-  const std::string tmp = store_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      stats.error = "cannot write " + tmp;
-      return stats;
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-      stats.error = "short write to " + tmp;
-      return stats;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, store_path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    stats.error = "rename failed: " + ec.message();
+  try {
+    io::write_file((fs::path(cache_dir) / "store.jsonl").string(), text);
+  } catch (const std::exception& e) {
+    stats.error = e.what();
     return stats;
   }
   if (!quarantined_lines.empty()) {
@@ -205,6 +162,7 @@ MergeStats merge_shard_stores(const std::string& cache_dir,
   // The merged store is durable — only now do the shard stores go away.
   // A crash before this point re-merges idempotently (identical duplicates
   // collapse); a crash mid-removal leaves some shards to collapse next time.
+  std::error_code ec;
   for (const std::string& file : files) {
     if (fs::path(file).filename() != "store.jsonl") fs::remove(file, ec);
   }
@@ -228,23 +186,20 @@ VerifyStats verify_stores(const std::string& cache_dir) {
   VerifyStats stats;
   if (cache_dir.empty() || !fs::exists(cache_dir)) return stats;
   std::unordered_set<std::uint64_t> seen;
+  std::string text;
+  std::string payload;
+  JobRecord rec;
   for (const std::string& file : store_family(cache_dir)) {
     ++stats.files;
-    std::string text;
     if (!io::read_file(file, text)) continue;
-    for (const std::string_view line : split_lines(text)) {
-      std::string payload;
-      const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
-      if (cs == io::ChecksumStatus::kMismatch ||
-          cs == io::ChecksumStatus::kMalformed) {
-        ++stats.checksum_failures;
-        continue;
-      }
-      if (cs == io::ChecksumStatus::kAbsent) ++stats.legacy_lines;
-      JobRecord rec;
-      if (!record_from_jsonl(payload, rec)) {
-        ++stats.parse_failures;
-        continue;
+    for (std::string_view rest = text; !rest.empty();) {
+      const std::string_view line = io::next_line(rest);
+      if (line.empty()) continue;
+      switch (classify_store_line(line, payload, rec)) {
+        case StoreLine::kBadChecksum: ++stats.checksum_failures; continue;
+        case StoreLine::kBadRecord: ++stats.parse_failures; continue;
+        case StoreLine::kLegacyRecord: ++stats.legacy_lines; break;
+        case StoreLine::kRecord: break;
       }
       ++stats.records;
       if (!seen.insert(rec.key).second) ++stats.duplicate_keys;
@@ -252,10 +207,10 @@ VerifyStats verify_stores(const std::string& cache_dir) {
   }
   for (const std::string& file : ledger_family(cache_dir)) {
     ++stats.files;
-    std::string text;
     if (!io::read_file(file, text)) continue;
-    for (const std::string_view line : split_lines(text)) {
-      std::string payload;
+    for (std::string_view rest = text; !rest.empty();) {
+      const std::string_view line = io::next_line(rest);
+      if (line.empty()) continue;
       const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);
       if (cs != io::ChecksumStatus::kOk) {
         // Side ledgers are always written checksummed (satellite of store

@@ -1,8 +1,6 @@
 #include "vinoc/campaign/spec_hash.hpp"
 
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 
 namespace vinoc::campaign {
 
@@ -220,33 +218,6 @@ std::uint64_t result_fingerprint(const core::SynthesisResult& result) {
   h.u64(result.pareto.size());
   for (const std::size_t i : result.pareto) h.u64(i);
   return h.digest();
-}
-
-std::string key_hex(std::uint64_t key) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(key));
-  return buf;
-}
-
-bool key_from_hex(std::string_view hex, std::uint64_t& key) {
-  if (hex.size() != 16) return false;
-  std::uint64_t value = 0;
-  for (const char c : hex) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      digit = c - 'A' + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
-  }
-  key = value;
-  return true;
 }
 
 }  // namespace vinoc::campaign

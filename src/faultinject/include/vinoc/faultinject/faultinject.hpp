@@ -39,7 +39,7 @@ enum class Site : int {
   kEvalStall,       ///< candidate evaluation (sleeps, for kill-window tests)
   kShardCrash,      ///< campaign worker: SIGKILLs itself at a job start —
                     ///< simulates a hard crash (OOM kill, segfault) for the
-                    ///< shard supervisor's respawn/reassign machinery
+                    ///< shard supervisor's respawn/fallback ladder
   kShardStall,      ///< campaign worker: stalls at a job start without any
                     ///< cooperative cancel poll — only the supervisor's
                     ///< heartbeat watchdog can reclaim the shard

@@ -60,6 +60,13 @@ class JsonlWriter {
 // checksum (FNV-1a 64 of the original line text) is what lets a recovery
 // pass tell a crash-torn or bit-rotted record from a good one.
 
+/// 16 lowercase hex digits, zero-padded: the JSONL spelling of a 64-bit key
+/// (job keys, shard-wire keys and line checksums all use it).
+[[nodiscard]] std::string key_hex(std::uint64_t key);
+/// Inverse of key_hex (either case accepted); returns false on anything but
+/// exactly 16 hex digits.
+[[nodiscard]] bool key_from_hex(std::string_view hex, std::uint64_t& key);
+
 /// FNV-1a 64-bit over `bytes`.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
 

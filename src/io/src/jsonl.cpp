@@ -199,17 +199,37 @@ namespace {
 constexpr std::string_view kCrcPrefix = ",\"_crc\":\"";
 constexpr std::size_t kCrcHexDigits = 16;
 
-std::string crc_hex(std::uint64_t h) {
+}  // namespace
+
+std::string key_hex(std::uint64_t key) {
   char buf[kCrcHexDigits + 1];
   std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(key));
   return buf;
 }
 
-}  // namespace
+bool key_from_hex(std::string_view hex, std::uint64_t& key) {
+  if (hex.size() != kCrcHexDigits) return false;
+  std::uint64_t value = 0;
+  for (const char c : hex) {
+    int digit = 0;
+    if (c >= '0' && c <= '9') {
+      digit = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      digit = c - 'a' + 10;
+    } else if (c >= 'A' && c <= 'F') {
+      digit = c - 'A' + 10;
+    } else {
+      return false;
+    }
+    value = (value << 4) | static_cast<std::uint64_t>(digit);
+  }
+  key = value;
+  return true;
+}
 
 std::string add_line_checksum(std::string_view line) {
-  const std::string hex = crc_hex(fnv1a64(line));
+  const std::string hex = key_hex(fnv1a64(line));
   std::string out(line.substr(0, line.size() - 1));  // drop closing '}'
   // An empty object has no field to follow, so no separating comma.
   out += line == "{}" ? std::string_view("\"_crc\":\"")
@@ -245,7 +265,7 @@ ChecksumStatus verify_line_checksum(std::string_view line,
     const bool is_hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
     if (!is_hex) return ChecksumStatus::kMismatch;
   }
-  if (crc_hex(fnv1a64(payload)) != hex) return ChecksumStatus::kMismatch;
+  if (key_hex(fnv1a64(payload)) != hex) return ChecksumStatus::kMismatch;
   if (payload_out != nullptr) *payload_out = std::move(payload);
   return ChecksumStatus::kOk;
 }

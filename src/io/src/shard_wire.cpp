@@ -1,7 +1,7 @@
 #include "vinoc/io/shard_wire.hpp"
 
-#include <fstream>
 #include <map>
+#include <string_view>
 
 #include "vinoc/io/exports.hpp"
 #include "vinoc/io/jsonl.hpp"
@@ -9,35 +9,6 @@
 namespace vinoc::io {
 
 namespace {
-
-// Local 16-hex-digit key spelling. campaign::key_hex is the same format,
-// but io sits below campaign in the module graph and cannot link it.
-std::string hex16(std::uint64_t key) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[key & 0xF];
-    key >>= 4;
-  }
-  return out;
-}
-
-bool hex16_parse(const std::string& text, std::uint64_t& key) {
-  if (text.size() != 16) return false;
-  key = 0;
-  for (const char c : text) {
-    int digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    key = (key << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return true;
-}
 
 const char* event_name(ShardEventType type) {
   switch (type) {
@@ -55,10 +26,10 @@ std::string encode_shard_event(const ShardEvent& event) {
   w.field("ev", event_name(event.type));
   switch (event.type) {
     case ShardEventType::kStart:
-      w.field("key", hex16(event.key));
+      w.field("key", key_hex(event.key));
       break;
     case ShardEventType::kDone:
-      w.field("key", hex16(event.key));
+      w.field("key", key_hex(event.key));
       w.field("rec", event.payload);
       break;
     case ShardEventType::kSummary:
@@ -80,7 +51,7 @@ std::optional<ShardEvent> decode_shard_event(const std::string& line) {
   ShardEvent out;
   if (ev->second == "start" || ev->second == "done") {
     const auto key = obj.find("key");
-    if (key == obj.end() || !hex16_parse(key->second, out.key)) {
+    if (key == obj.end() || !key_from_hex(key->second, out.key)) {
       return std::nullopt;
     }
     if (ev->second == "start") {
@@ -108,7 +79,7 @@ bool write_shard_manifest(const std::string& path,
   std::string text;
   for (const std::uint64_t key : keys) {
     JsonlWriter w;
-    w.field("key", hex16(key));
+    w.field("key", key_hex(key));
     text += add_line_checksum(w.line());
     text += '\n';
   }
@@ -122,24 +93,22 @@ bool write_shard_manifest(const std::string& path,
 
 std::optional<std::vector<std::uint64_t>> read_shard_manifest(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
+  std::string text;
+  if (!read_file(path, text)) return std::nullopt;
   std::vector<std::uint64_t> keys;
-  std::string line;
-  while (std::getline(in, line)) {
+  std::string payload;
+  std::map<std::string, std::string> obj;
+  for (std::string_view rest = text; !rest.empty();) {
+    const std::string_view line = next_line(rest);
     if (line.empty()) continue;
-    std::string payload;
-    if (verify_line_checksum(line, &payload) != ChecksumStatus::kOk) {
+    obj.clear();
+    if (verify_line_checksum(line, &payload) != ChecksumStatus::kOk ||
+        !parse_jsonl_object(payload, obj)) {
       return std::nullopt;
     }
-    std::map<std::string, std::string> obj;
+    const auto it = obj.find("key");
     std::uint64_t key = 0;
-    const auto parse_key = [&]() {
-      if (!parse_jsonl_object(payload, obj)) return false;
-      const auto it = obj.find("key");
-      return it != obj.end() && hex16_parse(it->second, key);
-    };
-    if (!parse_key()) return std::nullopt;
+    if (it == obj.end() || !key_from_hex(it->second, key)) return std::nullopt;
     keys.push_back(key);
   }
   return keys;

@@ -1,8 +1,9 @@
 // Sharded campaigns: planner determinism and group integrity, status-line
-// wire framing, manifest round-trips, the bit-identity store merger, the
-// store-family verifier — and end-to-end supervisor runs that exec the real
-// CLI as campaign-worker processes (VINOC_CLI_PATH), including crash chaos
-// and resume-after-merge.
+// wire framing (round-trips and a seeded mutation fuzzer), manifest
+// round-trips, the bit-identity store merger, the store-family verifier —
+// and end-to-end supervisor runs that exec the real CLI as campaign-worker
+// processes (VINOC_CLI_PATH), including crash chaos, the in-process
+// fallback and resume-after-merge.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -10,6 +11,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,7 +26,10 @@
 #include "vinoc/campaign/shard_supervisor.hpp"
 #include "vinoc/campaign/spec_hash.hpp"
 #include "vinoc/io/jsonl.hpp"
+#include "vinoc/io/obs_writers.hpp"
 #include "vinoc/io/shard_wire.hpp"
+
+#include "mutate.hpp"
 
 namespace vinoc::campaign {
 namespace {
@@ -237,6 +243,45 @@ TEST(ShardWire, ManifestRoundTripsAndRejectsCorruption) {
                    .has_value());
 }
 
+TEST(ShardWire, MutatedLinesNeverDecodeToAnotherEvent) {
+  // Seeded 1-3 byte mutations of every event type and of a manifest: the
+  // decoders must never throw, and whatever still decodes must be exactly
+  // the original (a mutation that survives the checksum is an identity).
+  const std::vector<io::ShardEvent> events = {
+      {io::ShardEventType::kStart, 0xf3ae58b624026f15ull, ""},
+      {io::ShardEventType::kDone, 42, record_to_jsonl(fake_record(42, 10.0))},
+      {io::ShardEventType::kSummary, 0, "{\"run\":3,\"cache_hits\":1}"},
+  };
+  std::mt19937 rng(20261018u);
+  for (const io::ShardEvent& ev : events) {
+    const std::string line = io::encode_shard_event(ev);
+    for (int trial = 0; trial < 3000; ++trial) {
+      const std::string mutated = testing_util::mutate(line, rng);
+      std::optional<io::ShardEvent> back;
+      ASSERT_NO_THROW(back = io::decode_shard_event(mutated)) << mutated;
+      if (!back.has_value()) continue;
+      EXPECT_EQ(back->type, ev.type) << mutated;
+      EXPECT_EQ(back->key, ev.key) << mutated;
+      EXPECT_EQ(back->payload, ev.payload) << mutated;
+    }
+  }
+
+  const TempDir dir("wirefuzz");
+  const std::string path = (dir.path / "0.manifest").string();
+  const std::vector<std::uint64_t> keys = {1, 0xffffffffffffffffull, 42, 7};
+  ASSERT_TRUE(io::write_shard_manifest(path, keys));
+  const std::string original = read_text(path);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::ofstream(path, std::ios::trunc | std::ios::binary)
+        << testing_util::mutate(original, rng);
+    std::optional<std::vector<std::uint64_t>> back;
+    ASSERT_NO_THROW(back = io::read_shard_manifest(path));
+    if (back.has_value()) {
+      EXPECT_EQ(*back, keys);
+    }
+  }
+}
+
 // --- Merger -----------------------------------------------------------------
 
 TEST(ShardMerge, UnionsShardStoresInJobOrder) {
@@ -430,6 +475,67 @@ TEST(ShardSupervisor, ExhaustedCrashRetriesQuarantineTheJob) {
   EXPECT_EQ(io::verify_line_checksum(ledger.substr(0, ledger.find('\n')),
                                      &payload),
             io::ChecksumStatus::kOk);
+}
+
+TEST(ShardSupervisor, UnspawnableWorkerDegradesInProcess) {
+  const TempDir dir("unspawnable");
+  const std::string spec_path = write_campaign_file(dir);
+  const CampaignSpec spec = small_campaign();
+
+  CampaignOptions ref;
+  ref.cache_dir = (dir.path / "ref_cache").string();
+  ref.include_timing = false;
+  ref.threads = 2;
+  const CampaignResult reference = run_campaign(spec, ref);
+
+  // Every worker fails to exec (exit 127): a configuration failure that a
+  // respawn would only replay, so each shard goes straight to the
+  // in-process fallback.
+  ShardCampaignOptions sopt = sharded_options(dir, spec_path, 2);
+  sopt.worker_exe = (dir.path / "no-such-vinoc").string();
+  const ShardCampaignResult sharded = run_sharded_campaign(spec, sopt);
+
+  ASSERT_TRUE(sharded.merge.ok) << sharded.merge.error;
+  EXPECT_EQ(records_jsonl(sharded.campaign.records),
+            records_jsonl(reference.records));
+  const obs::Registry& m = sharded.campaign.metrics;
+  EXPECT_EQ(m.value("fallback_jobs"), reference.jobs_total());
+  EXPECT_EQ(m.value("worker_respawns"), 0);
+  EXPECT_EQ(m.value("workers_spawned"),
+            plan_shards(expand_jobs(spec), 2).populated());
+  EXPECT_EQ(sharded.campaign.jobs_run(), reference.jobs_total());
+}
+
+TEST(ShardSupervisor, SummaryMatchesInProcess) {
+  // At one thread everywhere, the sharded resume_summary carries the same
+  // canonical fields as the in-process one, byte for byte: run through
+  // interrupted, then the supervisor's own counters, then the same
+  // delta_reuse_rate gauge.
+  const TempDir dir("summary");
+  const std::string spec_path = write_campaign_file(dir);
+  const CampaignSpec spec = small_campaign();
+
+  CampaignOptions ref;
+  ref.cache_dir = (dir.path / "ref_cache").string();
+  ref.include_timing = false;
+  ref.threads = 1;
+  const std::string in_process =
+      io::registry_record("", run_campaign(spec, ref).metrics);
+
+  ShardCampaignOptions sopt = sharded_options(dir, spec_path, 3);
+  sopt.base.threads = 1;
+  sopt.worker_threads = 1;
+  const std::string sharded =
+      io::registry_record("", run_sharded_campaign(spec, sopt).campaign.metrics);
+
+  const std::size_t gauge = in_process.find(",\"delta_reuse_rate\":");
+  ASSERT_NE(gauge, std::string::npos) << in_process;
+  const std::string canonical = in_process.substr(0, gauge);
+  EXPECT_EQ(sharded.substr(0, canonical.size() + 10), canonical + ",\"shards\":")
+      << sharded;
+  const std::string rate = in_process.substr(gauge);
+  ASSERT_GE(sharded.size(), rate.size());
+  EXPECT_EQ(sharded.substr(sharded.size() - rate.size()), rate) << sharded;
 }
 
 }  // namespace

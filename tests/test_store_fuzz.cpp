@@ -18,10 +18,13 @@
 #include "vinoc/campaign/shard_merge.hpp"
 #include "vinoc/io/jsonl.hpp"
 
+#include "mutate.hpp"
+
 namespace vinoc::campaign {
 namespace {
 
 namespace fs = std::filesystem;
+using testing_util::mutate;
 
 constexpr int kMutations = 320;
 
@@ -42,49 +45,6 @@ std::string real_store_text(const fs::path& dir) {
   (void)run_campaign(spec, opt);
   std::string text;
   EXPECT_TRUE(io::read_file((dir / "store.jsonl").string(), text));
-  return text;
-}
-
-/// Applies 1-3 random byte edits: overwrite, insert, delete, or an edit of
-/// a line break (joins two lines, tears the tail, or leaves a blank line).
-/// Half the written bytes come from the characters the store format is
-/// made of, so edits hit structure, not only noise.
-std::string mutate(std::string text, std::mt19937& rng) {
-  static constexpr std::string_view kSyntax = "\n{}\":,.-_0123456789abcdef";
-  auto random_byte = [&]() {
-    if (rng() % 2 == 0) return kSyntax[rng() % kSyntax.size()];
-    return static_cast<char>(rng() % 256);
-  };
-  const int edits = 1 + static_cast<int>(rng() % 3);
-  for (int e = 0; e < edits; ++e) {
-    switch (rng() % 4) {
-      case 0:
-        if (!text.empty()) text[rng() % text.size()] = random_byte();
-        break;
-      case 1:
-        text.insert(text.begin() + static_cast<std::ptrdiff_t>(
-                                       rng() % (text.size() + 1)),
-                    random_byte());
-        break;
-      case 2:
-        if (!text.empty()) {
-          text.erase(text.begin() +
-                     static_cast<std::ptrdiff_t>(rng() % text.size()));
-        }
-        break;
-      default: {
-        std::size_t nl = text.find('\n', rng() % (text.size() + 1));
-        if (nl == std::string::npos) nl = text.find('\n');
-        if (nl == std::string::npos) break;
-        if (rng() % 2 == 0) {
-          text.erase(nl, 1);
-        } else {
-          text.insert(nl, 1, '\n');
-        }
-        break;
-      }
-    }
-  }
   return text;
 }
 

@@ -109,7 +109,6 @@ struct Args {
   std::uint64_t store_max_bytes = 0;  // --store-max-bytes; 0 = unlimited
   int shards = 1;                 // --shards; >1 = multi-process supervisor
   int shard = -1;                 // --shard; campaign-worker's shard id
-  int max_respawns = 2;           // --max-respawns (per worker slot)
   int crash_retries = 1;          // --crash-retries (per job)
   std::string self_exe;           // argv[0], for spawning campaign-workers
   std::string out = "vinoc_out";
@@ -165,12 +164,12 @@ int usage() {
       "                          emitted with status \"skipped\" (0 = none)\n"
       "  --store-max-bytes N     cap store.jsonl, evicting oldest records\n"
       "                          (0 = unlimited)\n"
-      "  --shards N              run the matrix across N supervised worker\n"
-      "                          processes (requires --cache-dir); crashed or\n"
-      "                          stalled workers are respawned, their shard\n"
-      "                          stores merged back into store.jsonl\n"
-      "  --max-respawns N        respawns per worker slot before its leftover\n"
-      "                          jobs are reassigned (default 2)\n"
+      "  --shards N              crash isolation, not a speedup: run the\n"
+      "                          matrix across N supervised worker processes\n"
+      "                          (requires --cache-dir); crashed or stalled\n"
+      "                          workers are respawned (twice at most), then\n"
+      "                          their leftover jobs run in-process; shard\n"
+      "                          stores are merged back into store.jsonl\n"
       "  --crash-retries N       times a job may be in flight during a worker\n"
       "                          crash before it is quarantined as the cause\n"
       "                          (default 1)\n"
@@ -284,10 +283,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (v == nullptr) return false;
       args.shard = std::atoi(v);
-    } else if (flag == "--max-respawns") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.max_respawns = std::atoi(v);
     } else if (flag == "--crash-retries") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -778,7 +773,6 @@ int cmd_campaign(const Args& args) {
       // for shared machines, exactly like -j without an argument).
       sopt.worker_threads =
           args.threads > 0 ? std::max(1, args.threads / args.shards) : 0;
-      sopt.max_respawns = args.max_respawns;
       sopt.crash_retries = args.crash_retries;
       campaign::ShardCampaignResult sres =
           campaign::run_sharded_campaign(parsed.spec, sopt);
@@ -855,11 +849,11 @@ int cmd_campaign(const Args& args) {
     std::fprintf(
         stderr,
         "shards: %lld planned, %lld workers spawned, %lld crashes, "
-        "%lld respawns, %lld reassigned, %lld fallback, %lld heartbeat "
+        "%lld respawns, %lld fallback, %lld heartbeat "
         "drops; merge: %zu shard stores -> %zu records (%zu duplicates, "
         "%zu conflicts, %zu quarantined)%s%s\n",
         sv("shards"), sv("workers_spawned"), sv("worker_crashes"),
-        sv("worker_respawns"), sv("reassigned_jobs"), sv("fallback_jobs"),
+        sv("worker_respawns"), sv("fallback_jobs"),
         sv("heartbeat_drops"), merge.shard_files, merge.merged_records,
         merge.duplicates, merge.conflicts, merge.quarantined,
         merge.ok ? "" : " — MERGE FAILED: ",

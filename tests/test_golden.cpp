@@ -1,9 +1,10 @@
 // Golden QoR table: synthesize() and explore_link_widths() pinned to a
 // committed reference (tests/golden/synthesis.tsv) instead of to each other.
 // Rows cover d16/d24/d26/d36 x {logical, comm} islanding x islands
-// {1,2,3,4,6} x widths {32,64}, plus d64/logical-2/w32. Each row holds the
-// result_fingerprint (stats, points, routes, Pareto front), best power, min
-// latency, point count and Pareto size; an infeasible width has feasible 0.
+// {1,2,3,4,6} x widths {32,64}, widths 16 and 128 at islands {2,4}, plus
+// d64/logical-{2,3,6}/w32. Each row holds the result_fingerprint (stats,
+// points, routes, Pareto front), best power, min latency, point count and
+// Pareto size; an infeasible width has feasible 0.
 //
 // An intentional QoR change regenerates the table in the same change:
 //   VINOC_GOLDEN_WRITE=tests/golden/synthesis.tsv ./build/test_golden
@@ -55,14 +56,17 @@ std::vector<Case> golden_cases() {
                  ? soc::with_logical_islands(bm.soc, islands, bm.use_cases)
                  : soc::with_communication_islands(bm.soc, islands,
                                                    bm.use_cases),
-             {32, 64}});
+             islands == 2 || islands == 4 ? std::vector<int>{16, 32, 64, 128}
+                                          : std::vector<int>{32, 64}});
       }
     }
   }
   const soc::Benchmark d64 = soc::make_d64_tile_soc();
-  cases.push_back({"d64/logical/i2",
-                   soc::with_logical_islands(d64.soc, 2, d64.use_cases),
-                   {32}});
+  for (const int islands : {2, 3, 6}) {
+    cases.push_back({"d64/logical/i" + std::to_string(islands),
+                     soc::with_logical_islands(d64.soc, islands, d64.use_cases),
+                     {32}});
+  }
   return cases;
 }
 
@@ -157,7 +161,7 @@ TEST(Golden, SynthesizeMatchesTableAtThreads1And4) {
 TEST(Golden, WidthSweepMatchesTable) {
   const std::map<std::string, std::string> golden = load_golden();
   for (const Case& c : golden_cases()) {
-    if (c.widths.size() < 2) continue;  // the one-width d64 row
+    if (c.widths.size() < 2) continue;  // the one-width d64 rows
     SynthesisOptions opt;
     opt.threads = 4;
     const WidthSweepResult sweep = explore_link_widths(c.spec, c.widths, opt);

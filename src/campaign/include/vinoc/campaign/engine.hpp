@@ -130,6 +130,12 @@ struct CampaignResult {
   ///                          — a memory bound, not a sum)
   ///   delta_*                candidate-level delta evaluation sums over
   ///                          all computed groups
+  ///
+  /// The merge is order-independent, but the last two entries count work
+  /// that depends on scheduling: at threads > 1, which candidates a
+  /// group prunes, replays or buffers depends on finishing order, so
+  /// peak_buffered_outcomes and delta_* can differ between two runs whose
+  /// records are byte-identical (threads = 1 repeats exactly).
   obs::Registry metrics;
   double wall_s = 0.0;  ///< whole-campaign wall time
 

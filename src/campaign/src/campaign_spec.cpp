@@ -57,6 +57,12 @@ bool name_passes_filters(const std::string& name, const CampaignSpec& spec) {
 
 std::vector<CampaignJob> expand_jobs(const CampaignSpec& spec,
                                      ExpandStats* stats) {
+  // Every job inherits base_options, so a bad weight is the campaign's
+  // error (exit 4 from the CLI), not one failure per job.
+  if (const char* field = core::invalid_alpha_weight(spec.base_options)) {
+    throw std::invalid_argument(std::string(field) +
+                                " must be a number in [0,1]");
+  }
   // Scenario axis: named benchmarks first (in spec order), then synthetic
   // families (base = variant 0, then the perturbed variants).
   struct Scenario {

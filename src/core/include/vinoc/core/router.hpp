@@ -81,7 +81,7 @@ struct RouterOptions {
 struct RoutingGeometry {
   /// One contiguous range [lo, hi) of admissible target switches of one
   /// source switch, all in the same island — so the relaxation loop streams
-  /// over dense dist / link / floor rows with one crossing flag per run.
+  /// over dense dist / link / cost-bound rows with one crossing flag per run.
   struct HopRun {
     int lo = 0;
     int hi = 0;
@@ -98,9 +98,13 @@ struct RoutingGeometry {
   std::size_t n = 0;
   std::size_t n_islands = 0;
   std::vector<double> hop_len;   ///< n x n flat matrix of Manhattan lengths
-  /// fl(link_leakage_coeff * hop_len): width-invariant part of the
-  /// opening-cost floor (see router.cpp), n x n.
+  /// fl(link_leakage_coeff * hop_len): width-invariant part of the static
+  /// opening power (see router.cpp), n x n.
   std::vector<double> leak_len;
+  /// fl(link_energy_coeff * hop_len): the wire's dynamic energy per bit,
+  /// the width-invariant first factor of every hop's power (see
+  /// router.cpp), n x n.
+  std::vector<double> dyn_len;
   std::vector<FlowClass> classes;  ///< (n_islands + 1)^2 slots, lazily built
 };
 
@@ -120,6 +124,9 @@ struct RouterScratch {
   std::vector<int> island_of;        ///< per-switch island (flat; SwitchInst is cold)
   std::vector<double> freq_of;       ///< per-switch frequency (flat)
   std::vector<double> ebit_of;       ///< per-switch crossbar energy/bit at current ports
+  /// n x n static power of opening each link in this pass (idle ports, wire
+  /// leakage, crossing FIFO leakage) — the relaxation filter's opening term.
+  std::vector<double> static_floor;
   /// Lazy (dist, index) min-heap of the per-flow Dijkstra; pops reproduce
   /// the dense scan's lowest-dist-then-lowest-index extraction exactly.
   std::vector<std::pair<double, int>> heap;
@@ -278,13 +285,6 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
                              const RouteBound* bound = nullptr,
                              DeltaReference* record = nullptr,
                              DeltaRouteState* delta = nullptr);
-
-/// Runtime toggle for the router's 4-wide relaxation filter (see
-/// vinoc/core/simd.hpp): results are bit-identical either way — the scalar
-/// path is the reference the tests compare against. Returns the previous
-/// value. No-op (always scalar) in builds without the vector path.
-bool set_router_simd_enabled(bool enabled);
-[[nodiscard]] bool router_simd_enabled();
 
 /// Runtime toggle forcing the delta evaluator to VERIFY every would-be
 /// replay with the flow's own full solo Dijkstra (the route-equivalence

@@ -122,6 +122,11 @@ struct SynthesisOptions {
   const exec::CancelToken* cancel = nullptr;
 };
 
+/// The weight check every entry point applies before synthesizing:
+/// `alpha` and `alpha_power` must be numbers in [0,1] (NaN and infinities
+/// fail). Returns the offending field's name, or nullptr when both pass.
+[[nodiscard]] const char* invalid_alpha_weight(const SynthesisOptions& options);
+
 /// One saved design point (a full topology plus its evaluation).
 struct DesignPoint {
   std::vector<int> switches_per_island;

@@ -57,6 +57,15 @@ struct WidthClass {
 
 }  // namespace
 
+const char* invalid_alpha_weight(const SynthesisOptions& options) {
+  // Written so that NaN fails: every comparison with NaN is false.
+  if (!(options.alpha >= 0.0 && options.alpha <= 1.0)) return "alpha";
+  if (!(options.alpha_power >= 0.0 && options.alpha_power <= 1.0)) {
+    return "alpha_power";
+  }
+  return nullptr;
+}
+
 std::vector<WidthSweepEntry> synthesize_width_set(
     const soc::SocSpec& spec, const std::vector<int>& widths,
     const SynthesisOptions& base_options, exec::ThreadPool& pool,
@@ -69,9 +78,9 @@ std::vector<WidthSweepEntry> synthesize_width_set(
       throw std::invalid_argument("synthesize: invalid SocSpec: " + problems.front());
     }
   }
-  if (base_options.alpha < 0.0 || base_options.alpha > 1.0 ||
-      base_options.alpha_power < 0.0 || base_options.alpha_power > 1.0) {
-    throw std::invalid_argument("synthesize: alpha weights must be in [0,1]");
+  if (const char* field = invalid_alpha_weight(base_options)) {
+    throw std::invalid_argument(std::string("synthesize: ") + field +
+                                " must be a number in [0,1]");
   }
   if (base_options.cancel != nullptr) {
     base_options.cancel->check("synthesize_width_set");

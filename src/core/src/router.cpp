@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "vinoc/core/prune.hpp"
-#include "vinoc/core/simd.hpp"
 #include "vinoc/obs/trace.hpp"
 
 // Load-bearing inlining hint for the relaxation body (see route_flow): a
@@ -24,16 +23,11 @@ namespace vinoc::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Runtime switch for the vectorized relaxation filter; read once per
-/// Router construction (never mid-flow). The scalar and vector paths are
-/// bit-identical (see simd.hpp), so this is purely a test/verification
-/// knob.
-std::atomic<bool> g_router_simd{true};
+constexpr double kMaxFinite = std::numeric_limits<double>::max();
 
 /// Runtime switch forcing the delta evaluator to verify every replay with
 /// the flow's own solo Dijkstra (see set_delta_cert_forced); read once per
-/// Router construction, like the SIMD toggle.
+/// Router construction (never mid-flow).
 std::atomic<bool> g_delta_cert_forced{false};
 
 soc::IslandId island_of_switch(const NocTopology& topo, int sw) {
@@ -44,34 +38,7 @@ double switch_freq(const NocTopology& topo, int sw) {
   return topo.switches[static_cast<std::size_t>(sw)].freq_hz;
 }
 
-#if defined(VINOC_SIMD_VECTOR_EXT)
-/// 4-wide evaluation of the relaxation filter over consecutive targets
-/// v..v+3 of one dense run: bit i of the result is set when target i
-/// SURVIVES (its relaxation body must run). Each lane computes exactly the
-/// scalar `lead_skip` expression — the latency-part threshold, and the
-/// opening-floor threshold gated on "no reusable link" — with per-lane IEEE
-/// adds, so the mask equals four scalar evaluations bit-for-bit.
-inline unsigned relax_survivors4(const double* dist, const double* floors,
-                                 const int* links, double lat_thresh,
-                                 double dist_u, double latpart) {
-  const simd::F64x4 d = simd::load4(dist);
-  unsigned skip = simd::ge_mask(simd::splat4(lat_thresh), d);
-  const simd::F64x4 open_thresh =
-      simd::splat4(dist_u) + (simd::load4(floors) + simd::splat4(latpart));
-  skip |= simd::ge_mask(open_thresh, d) & simd::lt0_mask(simd::load4i(links));
-  return ~skip & 0xFu;
-}
-#endif
-
 }  // namespace
-
-bool set_router_simd_enabled(bool enabled) {
-  return g_router_simd.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool router_simd_enabled() {
-  return g_router_simd.load(std::memory_order_relaxed);
-}
 
 bool set_delta_cert_forced(bool enabled) {
   return g_delta_cert_forced.exchange(enabled, std::memory_order_relaxed);
@@ -123,10 +90,9 @@ namespace {
 ///    select them (stale entries — a superseded dist or an already-done
 ///    node — are skipped; every undone finite node always has one fresh
 ///    entry whose key equals its current dist);
-///  * a RELAXATION is skipped outright when even the latency part of the
-///    edge cost cannot beat dist[v]: the power part is non-negative and
-///    IEEE addition is monotone, so the skipped relaxation provably would
-///    not have updated anything.
+///  * a RELAXATION is skipped outright when a scalar lower bound on the
+///    full edge cost cannot beat dist[v] (see route_flow), so the skipped
+///    relaxation provably would not have updated anything.
 /// Both leave results bit-identical to the naive dense loop.
 class Router {
  public:
@@ -238,9 +204,6 @@ class Router {
       }
     }
 
-    use_simd_ = simd::compiled_vector() &&
-                g_router_simd.load(std::memory_order_relaxed);
-
     // Arm delta replay only when the reference's power normalizer is
     // bit-equal to ours: p_norm is the single cross-candidate coupling of
     // intra-island routing decisions (everything else an intra Dijkstra
@@ -258,7 +221,19 @@ class Router {
       }
     }
 
-    build_floor_matrix();
+    // The relaxation filter's power scale (see route_flow): alpha_power *
+    // (1 / p_norm), shaved by a 2^-30 relative margin. It is armed only
+    // while normal (>= 2 DBL_MIN, so kq, alpha * (1 / p_norm) and
+    // 1 / p_norm all carry relative rounding errors only); otherwise —
+    // alpha_power 0 or subnormal, or a normalizer too large or not finite
+    // — kq is 0, no bound reaches pw_min_, and the filter keeps its
+    // latency-only test. pw_min_ is the smallest bound the filter trusts:
+    // below it, the absolute error of products that underflow could
+    // outweigh the relative margin.
+    kq_ = opts_.alpha_power * (1.0 / p_norm_) * (1.0 - 0x1p-30);
+    if (!(kq_ >= 2.0 * std::numeric_limits<double>::min())) kq_ = 0.0;
+    pw_min_ = std::ldexp(1.0 / p_norm_ + 1.0, -1030);
+    build_static_floor();
   }
 
   [[nodiscard]] double p_norm() const { return p_norm_; }
@@ -507,18 +482,14 @@ class Router {
     return c;
   }
 
-  /// Per-pass lower bounds on the cost of OPENING a link on each switch
-  /// pair. The opening cost accumulates the non-negative idle-port, wire-
-  /// leakage and (crossing) FIFO-leakage terms, and every later operation
-  /// in the cost chain (multiply by alpha_power, divide by p_norm, add the
-  /// latency part) is monotone in IEEE arithmetic, so
-  ///   open cost >= fl(alpha_power * p_floor / p_norm) =: floor(a, b).
-  /// A relaxation that must open (no reusable link) is therefore skipped —
-  /// bit-exactly — whenever dist_u + (floor + latpart) cannot beat dist[v],
-  /// without computing the full cost (or its division). Built once per
-  /// routing pass (it depends on this pass's width and frequencies).
-  void build_floor_matrix() {
-    floor_.assign(n_ * n_, 0.0);
+  /// The static power of OPENING a link on each switch pair — the idle
+  /// ports, wire leakage and (crossing) FIFO leakage terms choose_hop adds
+  /// on top of the hop's dynamic power, each computed by the same
+  /// operation, summed in a different order. Built once per routing pass
+  /// (it depends on this pass's width and frequencies).
+  void build_static_floor() {
+    std::vector<double>& floor = scratch_.static_floor;
+    floor.assign(n_ * n_, 0.0);
     const double w = width_bits_;
     const std::vector<double>& leak_len = scratch_.geometry.leak_len;
     for (std::size_t a = 0; a < n_; ++a) {
@@ -527,10 +498,8 @@ class Router {
       for (std::size_t b = 0; b < n_; ++b) {
         const double ti = idle_w_per_hz_ * (fa + scratch_.freq_of[b]);
         const double tl = leak_len[a * n_ + b] * w;
-        const double p_floor = scratch_.island_of[b] != a_isl
-                                   ? (ti + tl) + fifo_leak_w_
-                                   : ti + tl;
-        floor_[a * n_ + b] = opts_.alpha_power * p_floor / p_norm_;
+        floor[a * n_ + b] =
+            scratch_.island_of[b] != a_isl ? (ti + tl) + fifo_leak_w_ : ti + tl;
       }
     }
   }
@@ -611,7 +580,9 @@ class Router {
       const double wire_cap_u =
           opts_.enforce_wire_timing ? scratch_.max_wire_len[us] : 0.0;
       const double* hop_row = &scratch_.geometry.hop_len[us * n_];
-      const double* floor_row = &floor_[us * n_];
+      const double* dyn_row = &scratch_.geometry.dyn_len[us * n_];
+      const double* static_row = &scratch_.static_floor[us * n_];
+      const double* ebit = scratch_.ebit_of.data();
       const int* link_row = &scratch_.link_at[us * n_];
       const int run_end = fclass.run_begin[us + 1];
       for (int rr = fclass.run_begin[us]; rr < run_end; ++rr) {
@@ -621,53 +592,48 @@ class Router {
         const bool cross = run.crossing != 0;
         const double latpart = cross ? lat_part_cross : lat_part_intra;
         const double lat_thresh = dist_u + latpart;
-        // The relaxation of one target that survived the filter below.
-        // Force-inlined: a call per surviving target costs ~8% of the whole
-        // evaluation hot path.
-        auto process_target = [&](int v) VINOC_ALWAYS_INLINE {
+        const double fifo_c = cross ? fifo_dyn_c_ : 0.0;
+        for (int v = run.lo; v < run.hi; ++v) {
           const auto vs = static_cast<std::size_t>(v);
+          const double d = dist[vs];
+          // Relaxation filter. The full cost choose_hop would compute is
+          //   fl(fl(fl(alpha * p) / p_norm) + latpart),
+          // p the hop's power: dynamic (wire, crossbar, crossing FIFO;
+          // each a fl(coefficient * bw)) when reusing a link, plus the
+          // static opening terms when opening one. Every term is finite and
+          // non-negative and alpha_power is in [0,1] (route_all_flows
+          // rejects anything else), so the cost is >= latpart, and
+          //   pw = kq * (dyn [+ static_floor]) <= fl(fl(alpha * p) / p_norm)
+          // whenever pw >= pw_min_: pw and that power part evaluate the same
+          // real quantity (alpha / p_norm) * P through at most ten rounded
+          // operations each, and with no underflow each rounding moves a
+          // result by at most 2^-53 relative — ~2^-48 in all, far inside
+          // kq's 2^-30 margin. A product that underflows may instead move
+          // by 2^-1075 absolute; scaled by at most 1 / p_norm, the seven
+          // such errors stay below 2^-31 pw once pw >= pw_min_ = 2^-1030
+          // (1 / p_norm + 1), so the margin covers them too. pw above DBL_MAX
+          // (an overflowed sum) proves nothing and is not trusted. The
+          // static terms enter only when no link exists: a saturated link
+          // makes choose_hop open a parallel one, which only adds power.
+          // IEEE addition is monotone, so a skipped target's dist_u + cost
+          // would have been >= dist[v] as well: it could not have updated.
+          // Done nodes (dist == -inf) fall to the latency-only test.
+          if (lat_thresh >= d) continue;
+          const double dyn = (dyn_row[vs] + ebit[vs] + fifo_c) * bw;
+          const double pw = kq_ * (link_row[vs] < 0 ? dyn + static_row[vs] : dyn);
+          if (pw >= pw_min_ && pw <= kMaxFinite && dist_u + (pw + latpart) >= d) {
+            continue;
+          }
           const HopChoice hc =
               choose_hop(us, vs, freq_u, wire_cap_u, cross, hop_row[vs],
                          latpart, bw, link_row[vs]);
-          if (std::isfinite(hc.cost) && dist_u + hc.cost < dist[vs]) {
+          if (std::isfinite(hc.cost) && dist_u + hc.cost < d) {
             dist[vs] = dist_u + hc.cost;
             pred[vs] = u;
             pred_link[vs] = hc.link;
             heap.emplace_back(dist[vs], v);
             std::push_heap(heap.begin(), heap.end(), heap_after);
           }
-        };
-        // Bit-exact early skips: the full cost is >= latpart, and when no
-        // link exists to reuse it is also >= the pair's opening floor (see
-        // build_floor_matrix); IEEE addition is monotone, so a filtered
-        // relaxation provably would not have updated anything. The two
-        // thresholds also dispose of done nodes (dist == -inf). The 4-wide
-        // path evaluates the SAME two comparisons per lane (floors are
-        // compared, never accumulated — see simd.hpp), so the survivor set
-        // is bit-identical to the scalar tail loop's.
-        int v = run.lo;
-#if defined(VINOC_SIMD_VECTOR_EXT)
-        if (use_simd_) {
-          for (; v + simd::kWidth <= run.hi; v += simd::kWidth) {
-            unsigned m = relax_survivors4(
-                &dist[static_cast<std::size_t>(v)],
-                &floor_row[static_cast<std::size_t>(v)],
-                &link_row[static_cast<std::size_t>(v)], lat_thresh, dist_u,
-                latpart);
-            while (m != 0) {
-              process_target(v + __builtin_ctz(m));
-              m &= m - 1;
-            }
-          }
-        }
-#endif
-        for (; v < run.hi; ++v) {
-          const auto vs = static_cast<std::size_t>(v);
-          const bool skip =
-              lat_thresh >= dist[vs] ||
-              (link_row[vs] < 0 &&
-               dist_u + (floor_row[vs] + latpart) >= dist[vs]);
-          if (!skip) process_target(v);
         }
       }
     }
@@ -946,9 +912,6 @@ class Router {
   std::vector<int> island_begin_;
   std::vector<int> island_end_;
   bool contiguous_ = false;
-  /// Vectorized relaxation filter enabled (compiled in AND not disabled at
-  /// runtime); sampled once at construction.
-  bool use_simd_ = false;
   // Cached model coefficients (see constructor).
   double link_dyn_c_ = 0.0;
   double link_leak_c_ = 0.0;
@@ -958,7 +921,9 @@ class Router {
   double width_bits_ = 0.0;
   double hop_lat_intra_ = 0.0;
   double hop_lat_cross_ = 0.0;
-  std::vector<double> floor_;  ///< n x n opening-cost floors of this pass
+  // Relaxation filter scale and trust floor (see constructor, route_flow).
+  double kq_ = 0.0;
+  double pw_min_ = 0.0;
   // Pruning state; power_lb_ < 0 means pruning disabled for this pass.
   double power_lb_ = -1.0;
   double lat_sum_lb_ = 0.0;
@@ -966,22 +931,28 @@ class Router {
   double link_w_per_bw_mm_ = 0.0;
 };
 
-/// Resets `g` for a new candidate topology: hop lengths and their leakage
-/// scalings recomputed, class runs invalidated (buffers kept, refilled
-/// lazily). `link_leak_c` is fl(link_leakage_mw_per_wire_mm * 1e-3) — a
-/// pure technology constant, so the leak_len matrix stays width-invariant.
+/// Resets `g` for a new candidate topology: hop lengths and their energy
+/// and leakage scalings recomputed, class runs invalidated (buffers kept,
+/// refilled lazily). The scalings multiply by pure technology constants —
+/// the Router's link_dyn_c_ and link_leak_c_, computed the same way — so
+/// the dyn_len and leak_len matrices stay width-invariant.
 void prepare_geometry(RoutingGeometry& g, const NocTopology& topo,
-                      std::size_t n_islands, double link_leak_c) {
+                      std::size_t n_islands, const models::Technology& tech) {
+  const double link_dyn_c = tech.link_energy_pj_per_bit_mm * 1e-12;
+  const double link_leak_c = tech.link_leakage_mw_per_wire_mm * 1e-3;
   const std::size_t n = topo.switches.size();
   g.n = n;
   g.n_islands = n_islands;
   g.hop_len.assign(n * n, 0.0);
   g.leak_len.assign(n * n, 0.0);
+  g.dyn_len.assign(n * n, 0.0);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
-      g.hop_len[a * n + b] =
+      const double len =
           floorplan::manhattan_mm(topo.switches[a].pos, topo.switches[b].pos);
-      g.leak_len[a * n + b] = link_leak_c * g.hop_len[a * n + b];
+      g.hop_len[a * n + b] = len;
+      g.leak_len[a * n + b] = link_leak_c * len;
+      g.dyn_len[a * n + b] = link_dyn_c * len;
     }
   }
   const std::size_t n_classes = (n_islands + 1) * (n_islands + 1);
@@ -1000,11 +971,17 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
     out.failure_reason = "RouterOptions::max_ports size mismatch";
     return out;
   }
+  // The relaxation filter's proof needs a non-negative power weight no
+  // larger than 1 (a NaN fails this test too).
+  if (!(options.alpha_power >= 0.0 && options.alpha_power <= 1.0)) {
+    RouteOutcome out;
+    out.failure_reason = "RouterOptions::alpha_power outside [0,1]";
+    return out;
+  }
   RouterScratch local;
   RouterScratch& sc = scratch != nullptr ? *scratch : local;
   if (sc.geometry_token == 0 || sc.geometry_built_token != sc.geometry_token) {
-    prepare_geometry(sc.geometry, topo, spec.islands.size(),
-                     options.tech.link_leakage_mw_per_wire_mm * 1e-3);
+    prepare_geometry(sc.geometry, topo, spec.islands.size(), options.tech);
     sc.geometry_built_token = sc.geometry_token;
   }
   if (record != nullptr) {

@@ -8,12 +8,18 @@
 // record.
 //
 // Determinism contract: shard-mergeable values are restricted to int64
-// counters combined with commutative, associative ops (kSum, kMax). A
-// merged export is therefore byte-identical whether the run used 1 thread
-// or N (test_obs locks this in). Floating-point values exist only as
-// *derived gauges* computed once at serialization time (e.g. a reuse
-// rate), never accumulated across shards — summing doubles in
-// thread-arrival order would break the byte-identity guarantee.
+// counters combined with commutative, associative ops (kSum, kMax). The
+// merge is therefore order-independent: the same recorded values export
+// byte-identically however they were split across 1 thread or N (test_obs
+// locks this in). Floating-point values exist only as *derived gauges*
+// computed once at serialization time (e.g. a reuse rate), never
+// accumulated across shards — summing doubles in thread-arrival order
+// would break that guarantee. The merge does not make the counted
+// quantities themselves deterministic: a counter of scheduling-dependent
+// work (candidates pruned against a front that other threads are still
+// filling, a streaming merge's buffer high-water mark) can differ between
+// two runs at threads > 1, as campaign delta_* and peak_buffered_outcomes
+// do (see campaign/engine.hpp).
 //
 // Histograms are log2-bucketed int64 samples (bucket = bit-width of the
 // value); bucket counts sum-merge, so they inherit the same determinism.

@@ -1,10 +1,13 @@
 // Campaign engine: matrix expansion (order, filters, dedup), spec parsing,
 // JSONL record round-trips, thread-count determinism of the streamed
-// report, and cache/resume semantics (recompute exactly the missing jobs).
+// report, cache/resume semantics (recompute exactly the missing jobs), and
+// the rejection of hostile alpha weights by the CLI and campaign files.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -561,6 +564,62 @@ TEST(SpecHash, WidthExcludedHashIgnoresExactlyTheWidth) {
   other.alpha = base.alpha * 0.5;
   EXPECT_NE(hash_synthesis_options_width_excluded(base),
             hash_synthesis_options_width_excluded(other));
+}
+
+namespace fs = std::filesystem;
+
+/// Exit status of `vinoc <args>`, output discarded (-1 if it did not exit).
+int run_cli(const std::string& args) {
+  const std::string cmd =
+      std::string(VINOC_CLI_PATH) + " " + args + " >/dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+const std::vector<std::string> kHostileAlphas = {"nan", "inf", "-0.5", "2"};
+
+TEST(HostileAlpha, SynthCliRejectsWithExit4) {
+  const std::string spec =
+      std::string(VINOC_SOURCE_DIR) + "/examples/specs/automotive_demo.soc";
+  const std::string out =
+      (fs::path(testing::TempDir()) / "vinoc_hostile_alpha").string();
+  for (const std::string& a : kHostileAlphas) {
+    for (const std::string flag : {"--alpha", "--alpha-power"}) {
+      EXPECT_EQ(run_cli("synth " + spec + " " + flag + " " + a + " --out " + out),
+                4)
+          << flag << " " << a;
+    }
+  }
+}
+
+TEST(HostileAlpha, CampaignFileRejectsWithExit4) {
+  const fs::path dir = fs::path(testing::TempDir()) / "vinoc_hostile_alpha_campaign";
+  fs::create_directories(dir);
+  const std::string file = (dir / "t.campaign").string();
+  for (const std::string key : {"alpha", "alpha_power"}) {
+    for (const std::string& a : kHostileAlphas) {
+      {
+        std::ofstream out(file);
+        out << "name = hostile\nbenchmarks = d16\nstrategies = logical\n"
+               "islands = 2\nwidths = 32\n"
+            << key << " = " << a << "\n";
+      }
+      // The file parses (the value is a number); expanding it into jobs is
+      // what rejects the weight, once for the whole campaign.
+      const CampaignParseResult parsed = parse_campaign_spec_file(file);
+      ASSERT_TRUE(parsed.ok) << key << " = " << a;
+      EXPECT_THROW((void)expand_jobs(parsed.spec), std::invalid_argument)
+          << key << " = " << a;
+      EXPECT_EQ(run_cli("campaign " + file + " --out " + (dir / "o").string()),
+                4)
+          << key << " = " << a;
+    }
+  }
+  CampaignSpec edge = small_campaign();
+  edge.base_options.alpha = 0.0;
+  edge.base_options.alpha_power = 1.0;
+  EXPECT_NO_THROW((void)expand_jobs(edge));
+  fs::remove_all(dir);
 }
 
 }  // namespace vinoc::campaign

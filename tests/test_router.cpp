@@ -1,10 +1,21 @@
 // Tests for the flow router (Algorithm 1, step 15): link admissibility,
-// link opening/reuse, capacity, latency budgets, and the structural
-// shutdown-safety rule.
+// link opening/reuse, capacity, latency budgets, the structural
+// shutdown-safety rule, and agreement with a plain dense-scan reference
+// router on random multi-island topologies.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <set>
+#include <utility>
 
 #include "vinoc/core/router.hpp"
 #include "vinoc/core/topology.hpp"
+#include "vinoc/floorplan/floorplan.hpp"
+#include "vinoc/models/noc_models.hpp"
 
 namespace vinoc::core {
 namespace {
@@ -412,6 +423,337 @@ TEST(RouteLatency, FormulaMatchesHeaderDoc) {
     expected += fx.topo.links[static_cast<std::size_t>(l)].crosses_island ? 4.0 : 1.0;
   }
   EXPECT_DOUBLE_EQ(route_latency_cycles(fx.topo, r, tech), expected);
+}
+
+// --- Dense reference router ------------------------------------------------
+//
+// The textbook version of route_all_flows without bound or delta replay:
+// flows in bandwidth order, each routed by an O(n^2) Dijkstra that extracts
+// the lowest distance, then the lowest index, with no heap and no filter in
+// front of the relaxation. The edge cost is written out in choose_hop's
+// documented operation order (router.hpp: alpha_power * dP / P_norm +
+// (1 - alpha_power) * edge_cycles / budget), so the production router's
+// heap, admissible-run iteration and relaxation filter must reproduce it
+// bit for bit.
+class DenseReferenceRouter {
+ public:
+  DenseReferenceRouter(NocTopology& topo, const soc::SocSpec& spec,
+                       const RouterOptions& opts)
+      : topo_(topo), spec_(spec), opts_(opts), link_model_(opts.tech),
+        n_(topo.switches.size()) {
+    ports_in_.resize(n_);
+    for (std::size_t s = 0; s < n_; ++s) {
+      ports_in_[s] = static_cast<int>(topo_.switches[s].cores.size());
+    }
+    ports_out_ = ports_in_;
+    link_at_.assign(n_ * n_, -1);
+    double max_bw = 0.0;
+    double max_span = 0.0;
+    for (const soc::Flow& f : spec_.flows) max_bw = std::max(max_bw, f.bandwidth_bits_per_s);
+    for (const SwitchInst& s : topo_.switches) {
+      max_span = std::max({max_span, s.pos.x_mm, s.pos.y_mm});
+    }
+    const double bw = std::max(max_bw, 1.0);
+    p_norm_ = link_model_.dynamic_power_w(std::max(0.5, max_span / 2.0), bw) +
+              models::BisyncFifoModel(opts_.tech).dynamic_power_w(bw);
+    if (p_norm_ <= 0.0) p_norm_ = 1e-3;
+  }
+
+  /// Routes every flow; returns the index of the failing flow, or -1.
+  int run() {
+    topo_.routes.assign(spec_.flows.size(), FlowRoute{});
+    std::vector<std::size_t> order(spec_.flows.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
+      return spec_.flows[a].bandwidth_bits_per_s > spec_.flows[b].bandwidth_bits_per_s;
+    });
+    for (const std::size_t f : order) {
+      if (!route(f)) return static_cast<int>(f);
+    }
+    return -1;
+  }
+
+ private:
+  double ebit(std::size_t s) const {
+    const int ports = std::max(ports_in_[s], ports_out_[s]);
+    return (opts_.tech.sw_energy_base_pj_per_bit +
+            opts_.tech.sw_energy_per_port_pj_per_bit * ports) *
+           1e-12;
+  }
+
+  /// Cost of hop u -> v for `flow` (infinite when neither reusing nor
+  /// opening is allowed); `link` receives the reused link or -1 to open.
+  double cost(std::size_t u, std::size_t v, const soc::Flow& flow, bool cross,
+              int& link) const {
+    const models::Technology& t = opts_.tech;
+    const double bw = flow.bandwidth_bits_per_s;
+    const double fu = topo_.switches[u].freq_hz;
+    const double fv = topo_.switches[v].freq_hz;
+    const double len =
+        floorplan::manhattan_mm(topo_.switches[u].pos, topo_.switches[v].pos);
+    const double width = static_cast<double>(opts_.link_width_bits);
+    const double hop_cycles =
+        cross ? static_cast<double>(t.fifo_latency_cycles) + t.sw_pipeline_cycles
+              : 1.0 + t.sw_pipeline_cycles;
+    const double latpart =
+        (1.0 - opts_.alpha_power) * (hop_cycles / flow.max_latency_cycles);
+    // Dynamic power: wire, downstream crossbar, crossing FIFO.
+    double p = t.link_energy_pj_per_bit_mm * 1e-12 * len * bw;
+    p += ebit(v) * bw;
+    if (cross) p += t.fifo_energy_pj_per_bit * 1e-12 * bw;
+    const double cap = width * std::min(fu, fv);
+    const int existing = link_at_[u * n_ + v];
+    if (existing >= 0 &&
+        topo_.links[static_cast<std::size_t>(existing)].carried_bw_bits_per_s + bw <=
+            cap + 1e-6) {
+      link = existing;
+      return opts_.alpha_power * p / p_norm_ + latpart;
+    }
+    if (ports_out_[u] + 1 > opts_.max_ports[u] ||
+        ports_in_[v] + 1 > opts_.max_ports[v] || bw > cap + 1e-6 ||
+        (opts_.enforce_wire_timing && !cross &&
+         len > link_model_.max_unpipelined_length_mm(fu))) {
+      return std::numeric_limits<double>::infinity();
+    }
+    // Opening: two new ports idle, the wire and (crossing) FIFO leak.
+    p += t.sw_idle_power_per_port_w_per_hz * (fu + fv);
+    p += t.link_leakage_mw_per_wire_mm * 1e-3 * len * width;
+    if (cross) p += t.fifo_leakage_mw * 1e-3;
+    link = -1;
+    return opts_.alpha_power * p / p_norm_ + latpart;
+  }
+
+  bool route(std::size_t fi) {
+    const soc::Flow& flow = spec_.flows[fi];
+    const auto s = static_cast<std::size_t>(topo_.switch_of_core[static_cast<std::size_t>(flow.src)]);
+    const auto d = static_cast<std::size_t>(topo_.switch_of_core[static_cast<std::size_t>(flow.dst)]);
+    FlowRoute& route = topo_.routes[fi];
+    route.src_switch = static_cast<int>(s);
+    route.dst_switch = static_cast<int>(d);
+    const soc::IslandId src_isl = spec_.cores[static_cast<std::size_t>(flow.src)].island;
+    const soc::IslandId dst_isl = spec_.cores[static_cast<std::size_t>(flow.dst)].island;
+    std::vector<double> dist(n_, std::numeric_limits<double>::infinity());
+    std::vector<int> pred(n_, -1);
+    std::vector<int> pred_link(n_, -1);
+    std::vector<char> done(n_, 0);
+    dist[s] = 0.0;
+    while (s != d) {
+      std::size_t u = n_;
+      for (std::size_t i = 0; i < n_; ++i) {
+        if (done[i] == 0 && std::isfinite(dist[i]) && (u == n_ || dist[i] < dist[u])) u = i;
+      }
+      if (u == n_ || u == d) break;
+      done[u] = 1;
+      const soc::IslandId u_isl = topo_.switches[u].island;
+      for (std::size_t v = 0; v < n_; ++v) {
+        const soc::IslandId v_isl = topo_.switches[v].island;
+        if (done[v] != 0 || !link_admissible(u_isl, v_isl, src_isl, dst_isl)) continue;
+        const bool cross = u_isl != v_isl;
+        if (opts_.forbid_direct_cross && cross && u_isl != kIntermediateIsland &&
+            v_isl != kIntermediateIsland) {
+          continue;
+        }
+        int link = -1;
+        const double c = cost(u, v, flow, cross, link);
+        if (std::isfinite(c) && dist[u] + c < dist[v]) {
+          dist[v] = dist[u] + c;
+          pred[v] = static_cast<int>(u);
+          pred_link[v] = link;
+        }
+      }
+    }
+    if (!std::isfinite(dist[d])) return false;
+    std::vector<std::size_t> path;
+    for (std::size_t v = d; v != s; v = static_cast<std::size_t>(pred[v])) path.push_back(v);
+    std::reverse(path.begin(), path.end());
+    std::size_t prev = s;
+    for (const std::size_t v : path) {
+      int id = pred_link[v];
+      if (id < 0) {
+        TopLink l;
+        l.src_switch = static_cast<int>(prev);
+        l.dst_switch = static_cast<int>(v);
+        l.crosses_island = topo_.switches[prev].island != topo_.switches[v].island;
+        l.length_mm = floorplan::manhattan_mm(topo_.switches[prev].pos, topo_.switches[v].pos);
+        id = static_cast<int>(topo_.links.size());
+        topo_.links.push_back(l);
+        link_at_[prev * n_ + v] = id;
+        ++ports_out_[prev];
+        ++ports_in_[v];
+      }
+      TopLink& l = topo_.links[static_cast<std::size_t>(id)];
+      l.carried_bw_bits_per_s += flow.bandwidth_bits_per_s;
+      l.flows.push_back(static_cast<int>(fi));
+      route.links.push_back(id);
+      if (l.crosses_island) ++route.crossings;
+      prev = v;
+    }
+    route.latency_cycles = route_latency_cycles(topo_, route, opts_.tech);
+    return route.latency_cycles <= flow.max_latency_cycles + 1e-9;
+  }
+
+  NocTopology& topo_;
+  const soc::SocSpec& spec_;
+  const RouterOptions& opts_;
+  models::LinkModel link_model_;
+  std::size_t n_;
+  double p_norm_ = 1.0;
+  std::vector<int> ports_in_;
+  std::vector<int> ports_out_;
+  std::vector<int> link_at_;
+};
+
+/// route_all_flows' two passes over the reference router: the greedy pass,
+/// then (when it strands a flow and intermediate switches exist) a retry
+/// from the pristine topology with direct island-to-island hops forbidden,
+/// reporting the greedy pass's failed flow if that fails too.
+int reference_route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
+                              const RouterOptions& opts) {
+  const int first = DenseReferenceRouter(topo, spec, opts).run();
+  const bool has_intermediate =
+      std::any_of(topo.switches.begin(), topo.switches.end(),
+                  [](const SwitchInst& s) { return s.island == kIntermediateIsland; });
+  if (first < 0 || opts.forbid_direct_cross || !has_intermediate) return first;
+  topo.links.clear();
+  RouterOptions retry = opts;
+  retry.forbid_direct_cross = true;
+  return DenseReferenceRouter(topo, spec, retry).run() < 0 ? -1 : first;
+}
+
+/// A seeded random multi-island routing problem: 2-4 islands of 1-4
+/// switches (1-3 cores each) at per-island clocks, 0-3 intermediate
+/// switches (placed first on some seeds, which takes the router off its
+/// contiguous-island fast path), tight port caps and narrow links, so
+/// flows saturate links, run out of ports and miss latency budgets.
+struct RandomProblem {
+  soc::SocSpec spec;
+  NocTopology topo;
+  RouterOptions opts;
+
+  explicit RandomProblem(unsigned seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    auto uniform = [&rng](double lo, double hi) {
+      return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    const int islands = pick(2, 4);
+    const int intermediates = pick(0, 3);
+    const bool intermediates_first = seed % 3 == 0;
+    spec.name = "random" + std::to_string(seed);
+    const double freqs[] = {200e6, 300e6, 400e6, 500e6};
+    for (int i = 0; i < islands; ++i) {
+      spec.islands.push_back({"vi" + std::to_string(i), 1.0, true});
+      topo.island_freq_hz.push_back(freqs[pick(0, 3)]);
+    }
+    topo.intermediate_freq_hz = freqs[pick(0, 3)];
+    auto add_intermediates = [&] {
+      for (int k = 0; k < intermediates; ++k) {
+        SwitchInst sw;
+        sw.island = kIntermediateIsland;
+        sw.freq_hz = topo.intermediate_freq_hz;
+        sw.pos = {uniform(0.0, 6.0), uniform(0.0, 6.0)};
+        topo.switches.push_back(sw);
+      }
+    };
+    if (intermediates_first) add_intermediates();
+    for (int i = 0; i < islands; ++i) {
+      const int switches = pick(1, 4);
+      for (int k = 0; k < switches; ++k) {
+        SwitchInst sw;
+        sw.island = i;
+        sw.freq_hz = topo.island_freq_hz[static_cast<std::size_t>(i)];
+        sw.pos = {uniform(0.0, 6.0), uniform(0.0, 6.0)};
+        const int cores = pick(1, 3);
+        for (int c = 0; c < cores; ++c) {
+          soc::CoreSpec core;
+          core.name = "c" + std::to_string(spec.cores.size());
+          core.island = i;
+          sw.cores.push_back(static_cast<soc::CoreId>(spec.cores.size()));
+          topo.switch_of_core.push_back(static_cast<int>(topo.switches.size()));
+          topo.ni_wire_mm.push_back(0.3);
+          spec.cores.push_back(core);
+        }
+        topo.switches.push_back(sw);
+      }
+    }
+    if (!intermediates_first) add_intermediates();
+    const int n_cores = static_cast<int>(spec.cores.size());
+    const int flows = pick(6, 24);
+    for (int k = 0; k < flows; ++k) {
+      soc::Flow f;
+      f.src = pick(0, n_cores - 1);
+      f.dst = pick(0, n_cores - 2);
+      if (f.dst >= f.src) ++f.dst;
+      // Coarse bandwidths repeat, exercising the order's index tie-break.
+      f.bandwidth_bits_per_s = 0.25e9 * pick(1, 10);
+      f.max_latency_cycles = uniform(9.0, 40.0);
+      f.label = "f" + std::to_string(k);
+      spec.flows.push_back(f);
+    }
+    opts.link_width_bits = pick(0, 1) == 0 ? 16 : 32;
+    const double alphas[] = {0.0, 0.3, 0.7, 1.0};
+    opts.alpha_power = alphas[pick(0, 3)];
+    opts.forbid_direct_cross = seed % 4 == 1;
+    for (const SwitchInst& sw : topo.switches) {
+      opts.max_ports.push_back(static_cast<int>(sw.cores.size()) + pick(1, 4));
+    }
+  }
+};
+
+TEST(Router, MatchesDenseReferenceDijkstra) {
+  int successes = 0;
+  int failures = 0;
+  int parallel_links = 0;
+  for (unsigned seed = 0; seed < 300; ++seed) {
+    RandomProblem prod(seed);
+    RandomProblem ref(seed);
+    const RouteOutcome out = route_all_flows(prod.topo, prod.spec, prod.opts);
+    const int ref_failed = reference_route_all_flows(ref.topo, ref.spec, ref.opts);
+    ASSERT_EQ(out.success, ref_failed < 0) << "seed " << seed << ": " << out.failure_reason;
+    if (!out.success) {
+      EXPECT_EQ(out.failed_flow, ref_failed) << "seed " << seed;
+      ++failures;
+      continue;
+    }
+    ++successes;
+    ASSERT_EQ(prod.topo.links.size(), ref.topo.links.size()) << "seed " << seed;
+    std::set<std::pair<int, int>> pairs;
+    for (std::size_t l = 0; l < ref.topo.links.size(); ++l) {
+      const TopLink& a = prod.topo.links[l];
+      const TopLink& b = ref.topo.links[l];
+      EXPECT_EQ(a.src_switch, b.src_switch) << "seed " << seed << " link " << l;
+      EXPECT_EQ(a.dst_switch, b.dst_switch) << "seed " << seed << " link " << l;
+      EXPECT_EQ(a.crosses_island, b.crosses_island) << "seed " << seed << " link " << l;
+      EXPECT_EQ(a.carried_bw_bits_per_s, b.carried_bw_bits_per_s) << "seed " << seed;
+      EXPECT_EQ(a.flows, b.flows) << "seed " << seed << " link " << l;
+      if (!pairs.insert({b.src_switch, b.dst_switch}).second) ++parallel_links;
+    }
+    for (std::size_t f = 0; f < ref.topo.routes.size(); ++f) {
+      EXPECT_EQ(prod.topo.routes[f].links, ref.topo.routes[f].links)
+          << "seed " << seed << " flow " << f;
+      EXPECT_EQ(prod.topo.routes[f].latency_cycles, ref.topo.routes[f].latency_cycles)
+          << "seed " << seed << " flow " << f;
+      EXPECT_EQ(prod.topo.routes[f].crossings, ref.topo.routes[f].crossings);
+    }
+  }
+  // The sample must exercise both outcomes and saturated (parallel) links.
+  EXPECT_GT(successes, 50) << failures << " failures";
+  EXPECT_GT(failures, 50) << successes << " successes";
+  EXPECT_GT(parallel_links, 0);
+}
+
+TEST(Router, RejectsAlphaPowerOutsideUnitInterval) {
+  for (const double alpha : {std::nan(""), -0.5, 2.0,
+                             std::numeric_limits<double>::infinity()}) {
+    Fixture fx(2);
+    fx.add_flow(0, 1, 1e9, 20);
+    fx.opts.alpha_power = alpha;
+    const RouteOutcome out = route_all_flows(fx.topo, fx.spec, fx.opts);
+    EXPECT_FALSE(out.success) << alpha;
+    EXPECT_NE(out.failure_reason.find("alpha_power"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -142,8 +142,8 @@ int usage() {
       "options (synth/sweep/sim/gate):\n"
       "  --islands N             re-island into N voltage islands\n"
       "  --strategy S            spec | logical | comm (default spec)\n"
-      "  --alpha A               Definition-1 weight (default 0.6)\n"
-      "  --alpha-power P         router cost weight (default 0.7)\n"
+      "  --alpha A               Definition-1 weight in [0,1] (default 0.6)\n"
+      "  --alpha-power P         router cost weight in [0,1] (default 0.7)\n"
       "  --width BITS            link data width for 'synth' (default 32)\n"
       "  --widths A,B,...        widths for 'sweep' (default 16,32,64,128)\n"
       "  --no-intermediate       forbid the intermediate NoC VI\n"
@@ -214,14 +214,16 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (v == nullptr) return false;
       args.strategy = v;
-    } else if (flag == "--alpha") {
+    } else if (flag == "--alpha" || flag == "--alpha-power") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.alpha = std::atof(v);
-    } else if (flag == "--alpha-power") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.alpha_power = std::atof(v);
+      char* end = nullptr;
+      const double value = std::strtod(v, &end);
+      if (end == v || *end != '\0') {
+        std::fprintf(stderr, "%s needs a number, got '%s'\n", flag.c_str(), v);
+        return false;
+      }
+      (flag == "--alpha" ? args.alpha : args.alpha_power) = value;
     } else if (flag == "--width") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -874,6 +876,16 @@ int cmd_campaign(const Args& args) {
 }
 
 int run_command(const Args& args) {
+  {
+    core::SynthesisOptions weights;
+    weights.alpha = args.alpha;
+    weights.alpha_power = args.alpha_power;
+    if (const char* field = core::invalid_alpha_weight(weights)) {
+      std::fprintf(stderr, "invalid --%s: must be a number in [0,1]\n",
+                   std::strcmp(field, "alpha") == 0 ? "alpha" : "alpha-power");
+      return kExitSpec;
+    }
+  }
   try {
     if (args.command == "campaign") return cmd_campaign(args);
     if (args.command == "campaign-worker") return cmd_campaign_worker(args);

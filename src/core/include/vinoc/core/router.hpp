@@ -177,18 +177,24 @@ struct DeltaReference {
   std::vector<DeltaRouteRec> records;  ///< by routing-order position (prefix)
   double p_norm = 0.0;
   bool valid = false;  ///< pass-1 routing ran with recording attached
+  /// The reference topology had no intermediate switches (the group's
+  /// k_int = 0 leader), so each cross-island record is the search result
+  /// over the flow's two islands alone — the premise of cross-flow replay.
+  bool intermediate_free = false;
 };
 
 /// Per-evaluation state of a delta (route-reuse) routing run; see
 /// route_all_flows. `ref` is the input; everything else is output counters
 /// and router-managed scratch. The router classifies each flow: intra-
 /// island flows of an island whose state is still IN SYNC with the
-/// reference's are replayed from the record (flows_reused; or, under
-/// set_delta_cert_forced, re-derived by their own solo Dijkstra and
-/// verified against it — flows_certified); everything else routes live
-/// (flows_rerouted), and a live cross-island route whose hop sequence
-/// differs from the record's taints the islands it touches, ending reuse
-/// for them.
+/// reference's, and greedy-pass cross-island flows between two in-sync
+/// islands whose detour bound proves the intermediate switches cannot
+/// change the search (see router.cpp), are replayed from the record
+/// (flows_reused; or, under set_delta_cert_forced, re-derived by their own
+/// solo Dijkstra and verified against it — flows_certified); everything
+/// else routes live (flows_rerouted), and a live cross-island route whose
+/// hop sequence differs from the record's taints the islands it touches,
+/// ending reuse for them.
 struct DeltaRouteState {
   const DeltaReference* ref = nullptr;
   /// Output: the consumer's power normalizer was bit-equal to the
@@ -202,6 +208,7 @@ struct DeltaRouteState {
   /// Router-managed scratch (reset per pass, buffers reused).
   std::vector<char> island_tainted;
   std::vector<DeltaHop> actual_hops;
+  std::vector<double> intermediate_lb;  ///< per intermediate: distance bound
 };
 
 /// Cost-bound pruning input for one routing call (see vinoc/core/prune.hpp).
@@ -271,14 +278,15 @@ struct RouteOutcome {
 /// reference candidate's routed hop sequences and power normalizer are
 /// captured into it (routing results are unchanged). `delta` (optional)
 /// replays such a recording on an ADJACENT candidate of the same
-/// enumeration group: flows whose admissible structure is untouched by the
-/// config diff (intra-island flows, while their island's incremental state
-/// is proven in sync with the reference's) reuse the recorded route
-/// without a Dijkstra; affected flows (cross-island, or on a tainted
-/// island) route live. Results are bit-identical to a run without `delta`
-/// — replay is sound exactly because, per island, the router's state
-/// equals the reference's at the same routing position until a diverging
-/// live route taints it (see README).
+/// enumeration group: flows whose search the config diff provably leaves
+/// unchanged (intra-island flows while their island's incremental state is
+/// in sync with the reference's; cross-island flows between in-sync
+/// islands when a detour bound rules out every intermediate switch) reuse
+/// the recorded route without a Dijkstra; the rest route live. Results are
+/// bit-identical to a run without `delta` — replay is sound exactly
+/// because, per island, the router's state equals the reference's at the
+/// same routing position until a diverging live route taints it (see
+/// README).
 RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
                              const RouterOptions& options,
                              RouterScratch* scratch = nullptr,

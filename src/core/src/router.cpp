@@ -208,9 +208,10 @@ class Router {
     // bit-equal to ours: p_norm is the single cross-candidate coupling of
     // intra-island routing decisions (everything else an intra Dijkstra
     // reads is island-local), so with equal normalizers an in-sync
-    // island's decisions are input-identical to the reference's. Each pass
-    // re-arms with a fresh taint vector (pass 2 restarts from a pristine
-    // topology compared against the same pass-1 records).
+    // island's decisions are input-identical to the reference's (a cross
+    // flow also reads the intermediates; see cross_detour_ruled_out). Each
+    // pass re-arms with a fresh taint vector (pass 2 restarts from a
+    // pristine topology compared against the same pass-1 records).
     if (delta_ != nullptr) {
       delta_->pnorm_matched = delta_->ref != nullptr && delta_->ref->valid &&
                               delta_->ref->p_norm == p_norm_;
@@ -785,12 +786,126 @@ class Router {
     return 1;
   }
 
+  /// Lower bound on the cost choose_hop() assigns to the crossing hop
+  /// a -> b, one end an unwired intermediate switch (so no link exists and
+  /// opening is the only choice): the relaxation filter's term (see
+  /// route_flow), fl(pw + lat_part_cross), with pw taken as 0 outside the
+  /// range the filter trusts — the latency part alone still bounds the
+  /// cost.
+  double unwired_crossing_lb(std::size_t a, std::size_t b,
+                             double lat_part_cross, double bw) const {
+    const std::size_t ab = a * n_ + b;
+    const double dyn =
+        (scratch_.geometry.dyn_len[ab] + scratch_.ebit_of[b] + fifo_dyn_c_) * bw;
+    double pw = kq_ * (dyn + scratch_.static_floor[ab]);
+    if (!(pw >= pw_min_ && pw <= kMaxFinite)) pw = 0.0;
+    return pw + lat_part_cross;
+  }
+
+  /// Detour bound of a greedy-pass cross-island flow between two in-sync
+  /// islands: true when the flow's live Dijkstra provably returns the hops
+  /// of its record, so the record can replay without a search.
+  ///
+  /// The record comes from the group leader, which has no intermediate
+  /// switches; with both islands in sync and no intermediate yet wired, the
+  /// current search differs from the leader's only by the intermediates.
+  /// D* is the record's cost in the current state, accumulated exactly as
+  /// the Dijkstra accumulates dist (the same choose_hop() per hop, which
+  /// must also agree with the record on open vs reuse). A_w is a lower
+  /// bound on intermediate w's distance at any point of the search: w is
+  /// reached from a source-island switch (distance >= 0, then one crossing
+  /// hop) or from another intermediate (which is itself at least the
+  /// cheapest crossing hop away, then one intra hop). Every distance w
+  /// offers a destination switch is then at least
+  /// fl(A_w + crossing hop bound), and it offers nothing to the source
+  /// island. So when each w has A_w > D* (never extracted before d_sw) or
+  /// offers every destination switch more than D*, no intermediate ever
+  /// improves a switch that pops at or below D*: those switches pop in the
+  /// leader's order with the leader's distances and predecessors, and d_sw
+  /// pops at D* along the recorded path.
+  bool cross_detour_ruled_out(const DeltaRouteRec& rec, double bw,
+                              double max_latency_cycles, int s_sw, int d_sw,
+                              soc::IslandId src_isl, soc::IslandId dst_isl) {
+    if (opts_.forbid_direct_cross || !delta_->ref->intermediate_free ||
+        !contiguous_ || rec.hops.empty()) {
+      return false;
+    }
+    const std::size_t n_islands = island_begin_.size() - 1;
+    const int int_lo = island_begin_[n_islands];
+    const int int_hi = island_end_[n_islands];
+    for (int w = int_lo; w < int_hi; ++w) {
+      const auto ws = static_cast<std::size_t>(w);
+      if (scratch_.ports_in[ws] != 0 || scratch_.ports_out[ws] != 0) return false;
+    }
+    const double lat_part_intra =
+        (1.0 - opts_.alpha_power) * (hop_lat_intra_ / max_latency_cycles);
+    const double lat_part_cross =
+        (1.0 - opts_.alpha_power) * (hop_lat_cross_ / max_latency_cycles);
+
+    double d_star = 0.0;
+    int prev = s_sw;
+    for (const DeltaHop& h : rec.hops) {
+      if (h.src != prev || h.dst < 0 || h.dst >= static_cast<int>(n_)) {
+        return false;
+      }
+      const auto us = static_cast<std::size_t>(h.src);
+      const auto vs = static_cast<std::size_t>(h.dst);
+      const int u_isl = scratch_.island_of[us];
+      const int v_isl = scratch_.island_of[vs];
+      if ((v_isl != src_isl && v_isl != dst_isl) ||
+          !link_admissible(u_isl, v_isl, src_isl, dst_isl)) {
+        return false;
+      }
+      const bool cross = u_isl != v_isl;
+      const HopChoice hc = choose_hop(
+          us, vs, scratch_.freq_of[us],
+          opts_.enforce_wire_timing ? scratch_.max_wire_len[us] : 0.0, cross,
+          hop_length_mm(h.src, h.dst), cross ? lat_part_cross : lat_part_intra,
+          bw, scratch_.link_at[us * n_ + vs]);
+      if (!std::isfinite(hc.cost) || (hc.link < 0) != (h.open != 0)) return false;
+      d_star = d_star + hc.cost;
+      prev = h.dst;
+    }
+    if (prev != d_sw) return false;
+
+    const auto src_slot = static_cast<std::size_t>(src_isl);
+    const auto dst_slot = static_cast<std::size_t>(dst_isl);
+    std::vector<double>& reach_lb = delta_->intermediate_lb;
+    reach_lb.assign(static_cast<std::size_t>(int_hi - int_lo), kInf);
+    double via_any = kInf;
+    for (int w = int_lo; w < int_hi; ++w) {
+      double lb = kInf;
+      for (int u = island_begin_[src_slot]; u < island_end_[src_slot]; ++u) {
+        lb = std::min(lb, unwired_crossing_lb(static_cast<std::size_t>(u),
+                                              static_cast<std::size_t>(w),
+                                              lat_part_cross, bw));
+      }
+      reach_lb[static_cast<std::size_t>(w - int_lo)] = lb;
+      via_any = std::min(via_any, lb);
+    }
+    via_any = via_any + lat_part_intra;
+    for (int w = int_lo; w < int_hi; ++w) {
+      const double a_w =
+          std::min(reach_lb[static_cast<std::size_t>(w - int_lo)], via_any);
+      if (a_w > d_star) continue;
+      for (int x = island_begin_[dst_slot]; x < island_end_[dst_slot]; ++x) {
+        if (!(a_w + unwired_crossing_lb(static_cast<std::size_t>(w),
+                                        static_cast<std::size_t>(x),
+                                        lat_part_cross, bw) >
+              d_star)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
   /// One flow of an armed delta run (see DeltaRouteState). UNTOUCHED flows
-  /// — intra-island, island still in sync — replay the record (or, under
-  /// the forced certificate, re-derive the path with their own solo
-  /// Dijkstra and verify it against the record). AFFECTED flows — cross-
-  /// island (their admissible switch set includes the intermediates the
-  /// config diff changed) or on a tainted island — route live; a live
+  /// — intra-island on an in-sync island, or greedy-pass cross-island
+  /// between two in-sync islands with every intermediate detour ruled out
+  /// (cross_detour_ruled_out) — replay the record (or, under the forced
+  /// certificate, re-derive the path with their own solo Dijkstra and
+  /// verify it against the record). AFFECTED flows route live; a live
   /// cross route whose hop sequence differs from the record's ends reuse
   /// for every island either sequence touches.
   bool delta_route_flow(std::size_t pos, std::size_t flow_idx,
@@ -809,12 +924,18 @@ class Router {
         spec_.cores[static_cast<std::size_t>(flow.dst)].island;
     const DeltaRouteRec& rec = delta_->ref->records[pos];
     const bool intra = src_isl == dst_isl;
-    if (intra && delta_->island_tainted[static_cast<std::size_t>(src_isl)] == 0) {
+    std::vector<char>& tainted = delta_->island_tainted;
+    const bool in_sync = tainted[static_cast<std::size_t>(src_isl)] == 0 &&
+                         tainted[static_cast<std::size_t>(dst_isl)] == 0;
+    if (in_sync &&
+        (intra || cross_detour_ruled_out(rec, flow.bandwidth_bits_per_s,
+                                         flow.max_latency_cycles, s_sw, d_sw,
+                                         src_isl, dst_isl))) {
       if (cert_forced_) {
         // Route-equivalence certificate: the flow's own solo Dijkstra over
         // the current state (route_flow IS that Dijkstra). Acceptance proves
         // the replay would have been bit-identical; a rejection taints the
-        // island and keeps the certified path, so results never depend on
+        // islands and keeps the certified path, so results never depend on
         // the record being right.
         if (!route_flow(flow_idx, outcome)) return false;
         reconstruct_hops(flow_idx, delta_->actual_hops);
@@ -834,8 +955,9 @@ class Router {
         return replayed != 0;
       }
       // Record not applicable (defensive; never expected while in sync):
-      // end reuse for this island and route live below.
-      delta_->island_tainted[static_cast<std::size_t>(src_isl)] = 1;
+      // end reuse for these islands and route live below.
+      tainted[static_cast<std::size_t>(src_isl)] = 1;
+      tainted[static_cast<std::size_t>(dst_isl)] = 1;
     }
     if (!route_flow(flow_idx, outcome)) return false;
     ++delta_->flows_rerouted;
@@ -988,6 +1110,7 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
     record->records.clear();
     record->p_norm = 0.0;
     record->valid = false;
+    record->intermediate_free = false;
   }
   if (delta != nullptr) {
     delta->pnorm_matched = false;
@@ -1022,6 +1145,7 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
     if (record != nullptr) {
       record->p_norm = router.p_norm();
       record->valid = true;
+      record->intermediate_free = !has_intermediate;
     }
     first = router.run();
     if (first.success || first.pruned || options.forbid_direct_cross) {

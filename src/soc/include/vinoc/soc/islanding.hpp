@@ -34,10 +34,16 @@ struct UseCase {
 [[nodiscard]] int logical_group_of(CoreKind kind);
 [[nodiscard]] int logical_group_count();
 
-/// Rebuilds `base` with `island_count` islands assigned by functionality.
+/// Rebuilds `base` with AT MOST `island_count` islands assigned by
+/// functionality (island_count in [1, core_count()], else
+/// std::invalid_argument). Up to logical_group_count() islands, group g
+/// goes to island g * island_count / groups; beyond that, the largest
+/// groups are split. Islands left without cores (a functional group the
+/// SoC does not have) are compacted away, so the result can have fewer
+/// islands than asked for: d64 asked for 3 gets 2, asked for 6 gets 4.
 /// island_count == core_count() puts every core in its own island.
 /// The island containing shared memories (and the single island when
-/// island_count == 1) is marked can_shutdown = false.
+/// only one results) is marked can_shutdown = false.
 [[nodiscard]] SocSpec with_logical_islands(const SocSpec& base, int island_count,
                                            const std::vector<UseCase>& use_cases = {});
 

@@ -1,5 +1,6 @@
 // Seeded byte-level mutation for the hostile-input fuzz tests (store
-// readers, shard wire). Header-only; include from a test_*.cpp.
+// readers, shard wire, spec and campaign parsers). Header-only; include
+// from a test_*.cpp.
 #pragma once
 
 #include <cstddef>
@@ -9,14 +10,17 @@
 
 namespace vinoc::testing_util {
 
+/// The characters the JSONL formats are made of.
+inline constexpr std::string_view kJsonlSyntax = "\n{}\":,.-_0123456789abcdef";
+
 /// Applies 1-3 random byte edits: overwrite, insert, delete, or an edit of
 /// a line break (joins two lines, tears the tail, or leaves a blank line).
-/// Half the written bytes come from the characters the JSONL formats are
-/// made of, so edits hit structure, not only noise.
-inline std::string mutate(std::string text, std::mt19937& rng) {
-  static constexpr std::string_view kSyntax = "\n{}\":,.-_0123456789abcdef";
+/// Half the written bytes come from `syntax`, the characters the format
+/// under test is made of, so edits hit structure, not only noise.
+inline std::string mutate(std::string text, std::mt19937& rng,
+                          std::string_view syntax = kJsonlSyntax) {
   auto random_byte = [&]() {
-    if (rng() % 2 == 0) return kSyntax[rng() % kSyntax.size()];
+    if (rng() % 2 == 0) return syntax[rng() % syntax.size()];
     return static_cast<char>(rng() % 256);
   };
   const int edits = 1 + static_cast<int>(rng() % 3);

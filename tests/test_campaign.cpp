@@ -622,4 +622,46 @@ TEST(HostileAlpha, CampaignFileRejectsWithExit4) {
   fs::remove_all(dir);
 }
 
+TEST(HostileFlag, NumericOptionsRejectWithExit2) {
+  // Every numeric option parses its whole token: a typo, a sign the option
+  // cannot take, a fraction for an integer or a non-finite number is a bad
+  // command line (exit 2), never a silent 0 or a default. Parsing precedes
+  // any work, so the campaign file is never opened.
+  const std::string spec =
+      std::string(VINOC_SOURCE_DIR) + "/examples/specs/automotive_demo.soc";
+  const std::string campaign =
+      std::string(VINOC_SOURCE_DIR) + "/examples/smoke.campaign";
+  const fs::path dir = fs::path(testing::TempDir()) / "vinoc_hostile_flag";
+  fs::create_directories(dir);
+  const std::string out = (dir / "o").string();
+  const std::vector<std::string> synth_flags = {
+      "--islands abc",   "--islands -1",     "--islands 2x",
+      "--islands +2",    "--islands 99999999999",
+      "--width 0",       "--width 32x",      "--widths 32,,64",
+      "--widths 32,64x", "--widths ''",      "--threads -1",
+      "--threads 2.5",   "--scale nan",      "--scale -1",
+      "--scale inf"};
+  for (const std::string& flag : synth_flags) {
+    EXPECT_EQ(run_cli("synth " + spec + " --strategy logical " + flag +
+                      " --out " + out),
+              2)
+        << flag;
+  }
+  const std::vector<std::string> campaign_flags = {
+      "--retries x",        "--retries -1",       "--shards 0",
+      "--shards 2x",        "--shard -2",         "--crash-retries abc",
+      "--job-timeout -1",   "--job-timeout 5s",   "--retry-backoff inf",
+      "--deadline nan",     "--store-max-bytes -1",
+      "--store-max-bytes 1e3"};
+  for (const std::string& flag : campaign_flags) {
+    EXPECT_EQ(run_cli("campaign " + campaign + " " + flag + " --out " + out), 2)
+        << flag;
+  }
+  // The same options with well-formed values still run.
+  EXPECT_EQ(run_cli("synth " + spec + " --strategy logical --islands 2 "
+                    "--width 32 --threads 1 --out " + out),
+            0);
+  fs::remove_all(dir);
+}
+
 }  // namespace vinoc::campaign

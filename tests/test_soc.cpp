@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "vinoc/soc/benchmarks.hpp"
 #include "vinoc/soc/islanding.hpp"
@@ -252,6 +253,20 @@ TEST_P(LogicalIslandingTest, D26SweepProducesValidSpecs) {
 
 INSTANTIATE_TEST_SUITE_P(Counts, LogicalIslandingTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 12, 26));
+
+TEST(LogicalIslanding, EmptyGroupsCompactToFewerIslands) {
+  // The island count is an upper bound: d64 has cores of only some of the
+  // functional groups, and islands that receive none are compacted away.
+  // The golden table's d64/logical-3 and logical-6 rows rest on this.
+  const Benchmark d64 = make_d64_tile_soc();
+  for (const auto& [asked, got] : {std::pair{2, 2}, std::pair{3, 2},
+                                   std::pair{6, 4}}) {
+    const SocSpec out = with_logical_islands(d64.soc, asked, d64.use_cases);
+    EXPECT_TRUE(out.validate().empty()) << asked;
+    EXPECT_EQ(out.islands.size(), static_cast<std::size_t>(got))
+        << "asked for " << asked;
+  }
+}
 
 class CommIslandingTest : public ::testing::TestWithParam<int> {};
 

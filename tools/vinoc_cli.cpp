@@ -17,12 +17,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -174,8 +177,8 @@ int usage() {
       "                          crash before it is quarantined as the cause\n"
       "                          (default 1)\n"
       "options (all commands):\n"
-      "  --threads N             parallelism; 0 = all cores (default 0,\n"
-      "                          bit-identical results for any N)\n"
+      "  --threads N             parallelism, 0-1024; 0 = all cores (default\n"
+      "                          0, bit-identical results for any N)\n"
       "  --json                  machine-readable JSONL records on stdout\n"
       "  --progress              progress to stderr\n"
       "  --out PREFIX            output file prefix (default vinoc_out)\n"
@@ -184,6 +187,11 @@ int usage() {
       "                          results stay bit-identical to untraced runs)\n"
       "  --metrics-out FILE      write the run's merged metric registries and\n"
       "                          a phase_profile record as JSONL\n"
+      "\n"
+      "A numeric value must be the whole token: a decimal integer in range,\n"
+      "or for the duration/scale options a finite number >= 0; anything\n"
+      "else is a bad command line (--alpha/--alpha-power outside [0,1]\n"
+      "exit 4).\n"
       "\n"
       "exit codes:\n"
       "  0 success    1 runtime error      2 bad command line\n"
@@ -195,6 +203,52 @@ int usage() {
       "    work was checkpointed and flushed\n");
   return kExitUsage;
 }
+
+/// Parses ALL of `text` as a base-10 integer in [lo, hi] (no sign prefix
+/// '+', no surrounding blanks). Reports the flag and returns false on
+/// anything else, so a typo exits 2 instead of silently meaning 0.
+bool parse_int_flag(const std::string& flag, const char* text, long long lo,
+                    long long hi, long long& out) {
+  const char* const end = text + std::strlen(text);
+  long long value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || ptr == text || value < lo ||
+      value > hi) {
+    std::fprintf(stderr, "%s needs an integer in [%lld, %lld], got '%s'\n",
+                 flag.c_str(), lo, hi, text);
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+bool parse_int_flag(const std::string& flag, const char* text, int lo, int hi,
+                    int& out) {
+  long long value = 0;
+  if (!parse_int_flag(flag, text, lo, hi, value)) return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
+/// Parses ALL of `text` as a finite number >= 0 (durations, scales).
+bool parse_nonneg_flag(const std::string& flag, const char* text, double& out) {
+  const char* const end = text + std::strlen(text);
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || ptr == text || !std::isfinite(value) ||
+      value < 0.0) {
+    std::fprintf(stderr, "%s needs a finite number >= 0, got '%s'\n",
+                 flag.c_str(), text);
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+/// Upper bound of --threads: a worker pool of that many strands is already
+/// far past any host this runs on; larger values are typos.
+constexpr int kMaxThreadsFlag = 1024;
+constexpr int kIntMax = std::numeric_limits<int>::max();
 
 bool parse_args(int argc, char** argv, Args& args) {
   if (argc < 3) return false;
@@ -209,7 +263,7 @@ bool parse_args(int argc, char** argv, Args& args) {
     if (flag == "--islands") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.islands = std::atoi(v);
+      if (!parse_int_flag(flag, v, 0, kIntMax, args.islands)) return false;
     } else if (flag == "--strategy") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -227,15 +281,22 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--width") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.width = std::atoi(v);
+      if (!parse_int_flag(flag, v, 1, kIntMax, args.width)) return false;
     } else if (flag == "--widths") {
       const char* v = next();
       if (v == nullptr) return false;
       args.widths.clear();
-      for (const char* p = v; *p != '\0';) {
-        args.widths.push_back(std::atoi(p));
-        while (*p != '\0' && *p != ',') ++p;
-        if (*p == ',') ++p;
+      const std::string list = v;
+      for (std::size_t pos = 0;;) {
+        const std::size_t comma = std::min(list.find(',', pos), list.size());
+        int width = 0;
+        if (!parse_int_flag(flag, list.substr(pos, comma - pos).c_str(), 1,
+                            kIntMax, width)) {
+          return false;
+        }
+        args.widths.push_back(width);
+        if (comma == list.size()) break;
+        pos = comma + 1;
       }
     } else if (flag == "--no-intermediate") {
       args.intermediate = false;
@@ -244,7 +305,9 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--threads") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.threads = std::atoi(v);
+      if (!parse_int_flag(flag, v, 0, kMaxThreadsFlag, args.threads)) {
+        return false;
+      }
     } else if (flag == "--progress") {
       args.progress = true;
     } else if (flag == "--json") {
@@ -260,35 +323,44 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--job-timeout") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.job_timeout_s = std::atof(v);
+      if (!parse_nonneg_flag(flag, v, args.job_timeout_s)) return false;
     } else if (flag == "--retries") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.retries = std::atoi(v);
+      if (!parse_int_flag(flag, v, 0, kIntMax, args.retries)) return false;
     } else if (flag == "--retry-backoff") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.retry_backoff_ms = std::atof(v);
+      if (!parse_nonneg_flag(flag, v, args.retry_backoff_ms)) return false;
     } else if (flag == "--deadline") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.deadline_s = std::atof(v);
+      if (!parse_nonneg_flag(flag, v, args.deadline_s)) return false;
     } else if (flag == "--store-max-bytes") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.store_max_bytes = std::strtoull(v, nullptr, 10);
+      long long bytes = 0;
+      if (!parse_int_flag(flag, v, 0, std::numeric_limits<long long>::max(),
+                          bytes)) {
+        return false;
+      }
+      args.store_max_bytes = static_cast<std::uint64_t>(bytes);
     } else if (flag == "--shards") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.shards = std::atoi(v);
+      if (!parse_int_flag(flag, v, 1, kMaxThreadsFlag, args.shards)) {
+        return false;
+      }
     } else if (flag == "--shard") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.shard = std::atoi(v);
+      if (!parse_int_flag(flag, v, 0, kIntMax, args.shard)) return false;
     } else if (flag == "--crash-retries") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.crash_retries = std::atoi(v);
+      if (!parse_int_flag(flag, v, 0, kIntMax, args.crash_retries)) {
+        return false;
+      }
     } else if (args.command == "store" && flag.rfind("--", 0) != 0 &&
                args.cache_dir.empty()) {
       // `vinoc store <verify|merge> <cache-dir>` — the dir rides as the one
@@ -297,7 +369,7 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--scale") {
       const char* v = next();
       if (v == nullptr) return false;
-      args.scale = std::atof(v);
+      if (!parse_nonneg_flag(flag, v, args.scale)) return false;
     } else if (flag == "--out") {
       const char* v = next();
       if (v == nullptr) return false;

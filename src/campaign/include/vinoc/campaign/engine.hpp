@@ -68,10 +68,9 @@ struct CampaignOptions {
   /// error). A job that still fails is quarantined with status "failed".
   int max_retries = 2;
   /// Base retry backoff, milliseconds: attempt k sleeps
-  /// backoff * 2^k * jitter(seeded), capped at 5 s.
+  /// backoff * 2^k * jitter (a fixed function of the job key and k),
+  /// capped at 5 s.
   double retry_backoff_ms = 100.0;
-  /// Seed for the deterministic backoff jitter.
-  std::uint64_t retry_jitter_seed = 1;
   /// Whole-campaign budget, seconds; 0 = none. Once exceeded, jobs that
   /// have not started are emitted with status "skipped" (cache hits still
   /// serve — they are free) and the campaign completes with what finished.
@@ -109,22 +108,25 @@ struct CampaignResult {
   ExpandStats expand;
 
   /// The single source of truth for every campaign counter. Outcome
-  /// counters (run, cache_hits, infeasible, total, job_timeouts,
-  /// quarantined_jobs, skipped_jobs) are counted from `records`; telemetry
-  /// accumulates in per-worker obs registry shards merged deterministically
-  /// after the pool joins. One function registers them in the CANONICAL
-  /// resume_summary field order for both the engine and the shard
-  /// supervisor (test_campaign locks the serialization in), so
+  /// counters (run, cache_hits, infeasible, total, structure_groups,
+  /// structure_shared_jobs, job_timeouts, quarantined_jobs, skipped_jobs)
+  /// are counted from `records`, so a sharded run whose worker died keeps
+  /// them; telemetry accumulates in per-worker obs registry shards merged
+  /// deterministically after the pool joins. One function registers them
+  /// in the CANONICAL resume_summary field order for both the engine and
+  /// the shard supervisor (test_campaign locks the serialization in), so
   /// io::registry_record emits the CLI's resume_summary line and --json
   /// record directly. The accessors below are thin views for programmatic
   /// use:
   ///
   ///   run                    jobs actually synthesized this run
   ///   cache_hits, infeasible, total
-  ///   structure_groups       width-sharing groups computed this run (two+
-  ///                          jobs differing only in link_width_bits,
-  ///                          synthesized together via synthesize_width_set)
-  ///   structure_shared_jobs  jobs those groups covered
+  ///   structure_groups       width-sharing groups computed this run: the
+  ///                          structure keys with two or more computed "ok"
+  ///                          records (jobs differing only in
+  ///                          link_width_bits, synthesized together via
+  ///                          synthesize_width_set)
+  ///   structure_shared_jobs  the computed records of those groups
   ///   peak_buffered_outcomes streaming-merge high-water mark (MAX over
   ///                          all computed groups, one-job groups included
   ///                          — a memory bound, not a sum)

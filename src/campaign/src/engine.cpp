@@ -23,12 +23,12 @@ namespace vinoc::campaign {
 
 namespace {
 
-/// Deterministic backoff jitter: splitmix64 over (seed, job key, attempt),
-/// mapped to [0.5, 1.0) — no global RNG, so two runs of the same campaign
-/// back off identically.
-double backoff_jitter(std::uint64_t seed, std::uint64_t key, int attempt) {
-  std::uint64_t x = seed * 0x2545f4914f6cdd1dull ^ key ^
-                    (static_cast<std::uint64_t>(attempt) << 48);
+/// Deterministic backoff jitter: splitmix64 over (job key, attempt), mapped
+/// to [0.5, 1.0) — no global RNG, so two runs of the same campaign back off
+/// identically.
+double backoff_jitter(std::uint64_t key, int attempt) {
+  std::uint64_t x =
+      0x2545f4914f6cdd1dull ^ key ^ (static_cast<std::uint64_t>(attempt) << 48);
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
@@ -240,8 +240,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         metrics.local().add("retries", 1);
         const double sleep_ms =
             std::min(options.retry_backoff_ms * static_cast<double>(1 << attempt) *
-                         backoff_jitter(options.retry_jitter_seed, job_key,
-                                        attempt),
+                         backoff_jitter(job_key, attempt),
                      5000.0);
         if (sleep_ms > 0.0) {
           std::this_thread::sleep_for(
@@ -288,11 +287,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
     {
       obs::Registry& shard = metrics.local();
-      // Structure sharing counts only groups that shared something.
-      if (compute.size() > 1) {
-        shard.add("structure_groups", 1);
-        shard.add("structure_shared_jobs", static_cast<int>(compute.size()));
-      }
       // A memory bound, not a throughput counter: max-merged across shards.
       shard.record_max("peak_buffered_outcomes",
                        set_stats.peak_buffered_outcomes);
@@ -325,7 +319,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   telemetry.add("store_write_errors",
                 static_cast<std::int64_t>(cache.store_write_errors()));
   out.metrics = campaign_summary(
-      out.records, telemetry,
+      jobs, out.records, telemetry,
       options.cancel != nullptr && options.cancel->cancelled());
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t_start)

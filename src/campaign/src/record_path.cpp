@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <utility>
 
 #include "vinoc/campaign/spec_hash.hpp"
@@ -57,14 +58,18 @@ void FailureLedger::append(const std::string& campaign, const CampaignJob& job,
   out_ << io::add_line_checksum(w.line()) << '\n' << std::flush;
 }
 
-obs::Registry campaign_summary(const std::vector<JobRecord>& records,
+obs::Registry campaign_summary(const std::vector<CampaignJob>& jobs,
+                               const std::vector<JobRecord>& records,
                                const obs::Registry& telemetry,
                                bool interrupted) {
   std::int64_t run = 0, hits = 0, infeasible = 0;
   std::int64_t timeouts = 0, quarantined = 0, skipped = 0;
-  for (const JobRecord& rec : records) {
+  std::map<std::uint64_t, std::int64_t> computed_per_structure;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const JobRecord& rec = records[i];
     if (rec.status == "ok") {
       ++(rec.cache_hit ? hits : run);
+      if (!rec.cache_hit) ++computed_per_structure[jobs[i].structure_key];
       if (!rec.feasible) ++infeasible;
     } else if (rec.status == "skipped") {
       ++skipped;
@@ -72,6 +77,14 @@ obs::Registry campaign_summary(const std::vector<JobRecord>& records,
       ++quarantined;
       if (rec.status == "timeout") ++timeouts;
     }
+  }
+  // A width group shared its structure when two or more of its jobs were
+  // computed (the engine synthesizes them in one synthesize_width_set).
+  std::int64_t shared_groups = 0, shared_jobs = 0;
+  for (const auto& [structure, computed] : computed_per_structure) {
+    if (computed < 2) continue;
+    ++shared_groups;
+    shared_jobs += computed;
   }
   const auto t = [&telemetry](const char* name) {
     return telemetry.value(name);
@@ -81,8 +94,8 @@ obs::Registry campaign_summary(const std::vector<JobRecord>& records,
   m.add("cache_hits", hits);
   m.add("infeasible", infeasible);
   m.add("total", static_cast<std::int64_t>(records.size()));
-  m.add("structure_groups", t("structure_groups"));
-  m.add("structure_shared_jobs", t("structure_shared_jobs"));
+  m.add("structure_groups", shared_groups);
+  m.add("structure_shared_jobs", shared_jobs);
   // A memory bound, not a throughput counter: max-merged.
   m.record_max("peak_buffered_outcomes", t("peak_buffered_outcomes"));
   m.add("delta_candidates", t("delta_candidates"));
@@ -109,7 +122,7 @@ obs::Registry campaign_summary(const std::vector<JobRecord>& records,
 
 obs::Registry summary_from_fields(
     const std::map<std::string, std::string>& fields) {
-  const obs::Registry shape = campaign_summary({}, obs::Registry{}, false);
+  const obs::Registry shape = campaign_summary({}, {}, obs::Registry{}, false);
   obs::Registry out;
   for (const obs::Registry::Entry& e : shape.entries()) {
     const auto it = fields.find(e.name);

@@ -59,12 +59,14 @@ class FailureLedger {
 
 /// The resume_summary registry, counters in canonical order (test_campaign
 /// locks it in; new fields go after the existing ones). run, cache_hits,
-/// infeasible, total, job_timeouts, quarantined_jobs and skipped_jobs are
-/// derived from `records`; every other counter is read from `telemetry`.
-/// The delta_reuse_rate gauge is set from the delta counters.
+/// infeasible, total, structure_groups, structure_shared_jobs,
+/// job_timeouts, quarantined_jobs and skipped_jobs are derived from
+/// `records` (job order, parallel to `jobs`); every other counter is read
+/// from `telemetry`. The delta_reuse_rate gauge is set from the delta
+/// counters.
 [[nodiscard]] obs::Registry campaign_summary(
-    const std::vector<JobRecord>& records, const obs::Registry& telemetry,
-    bool interrupted);
+    const std::vector<CampaignJob>& jobs, const std::vector<JobRecord>& records,
+    const obs::Registry& telemetry, bool interrupted);
 
 /// A resume_summary line parsed back (io::parse_jsonl_object) into a
 /// registry whose counters carry the merge ops campaign_summary gives them,

@@ -2,6 +2,7 @@
 
 #include <signal.h>
 
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -23,6 +24,15 @@ namespace vinoc::campaign {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// The shortest text that parses back to exactly `value`: a worker must get
+/// its --job-timeout / --deadline budget unrounded (six fixed decimals
+/// turn a sub-microsecond budget into 0, which means "none").
+std::string round_trip(double value) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value);
+  return std::string(buf, res.ptr);
+}
 
 /// Respawns per shard before its leftover jobs run in-process.
 constexpr int kMaxRespawns = 2;
@@ -122,13 +132,13 @@ ShardCampaignResult run_sharded_campaign(const CampaignSpec& spec,
     }
     if (sopt.base.job_timeout_s > 0.0) {
       argv.push_back("--job-timeout");
-      argv.push_back(std::to_string(sopt.base.job_timeout_s));
+      argv.push_back(round_trip(sopt.base.job_timeout_s));
     }
     argv.push_back("--retries");
     argv.push_back(std::to_string(sopt.base.max_retries));
     if (sopt.base.deadline_s > 0.0) {
       argv.push_back("--deadline");
-      argv.push_back(std::to_string(sopt.base.deadline_s));
+      argv.push_back(round_trip(sopt.base.deadline_s));
     }
     return argv;
   };
@@ -353,7 +363,7 @@ ShardCampaignResult run_sharded_campaign(const CampaignSpec& spec,
   // Outcome counters come from the delivered records (ground truth that
   // survives worker crashes), telemetry from the worker summaries; the
   // supervisor's own counters follow the canonical fields.
-  result.metrics = campaign_summary(result.records, telemetry, cancelled());
+  result.metrics = campaign_summary(jobs, result.records, telemetry, cancelled());
   obs::Registry& m = result.metrics;
   m.add("shards", plan.shards());
   m.add("workers_spawned", workers_spawned);

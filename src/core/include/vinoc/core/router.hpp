@@ -108,6 +108,22 @@ struct RoutingGeometry {
   std::vector<FlowClass> classes;  ///< (n_islands + 1)^2 slots, lazily built
 };
 
+/// One hop of a route: the endpoint switch ids plus whether routing OPENED
+/// a new link for it (as opposed to reusing the pair's latest existing
+/// link). The router's search yields a flow's hops, its one commit step
+/// applies them, and a DeltaReference records them. Island switch ids are
+/// stable across the candidates of one enumeration group (identical island
+/// partitions, built in identical order), which is what lets a recorded hop
+/// be replayed on an adjacent candidate's topology.
+struct DeltaHop {
+  int src = -1;
+  int dst = -1;
+  unsigned char open = 0;
+  friend bool operator==(const DeltaHop& a, const DeltaHop& b) {
+    return a.src == b.src && a.dst == b.dst && a.open == b.open;
+  }
+};
+
 /// Reusable routing state. Buffers grow to the high-water mark of the
 /// topologies routed through them and are reset — not reallocated — per
 /// call; one instance per worker strand (see exec::WorkerLocal).
@@ -116,7 +132,9 @@ struct RouterScratch {
   std::vector<double> dist;
   std::vector<int> pred;
   std::vector<int> pred_link;
-  std::vector<int> path;
+  /// The live flow's route as the search found it, in path order: what
+  /// the commit applies and the delta record comparisons read.
+  std::vector<DeltaHop> hops;
   std::vector<int> link_at;  ///< n x n flat matrix: link id or -1
   std::vector<double> max_wire_len;  ///< per-switch one-cycle wire length cap
   std::vector<int> ports_in;
@@ -142,21 +160,11 @@ struct RouterScratch {
   std::uint64_t geometry_token = 0;
   std::uint64_t geometry_built_token = 0;
   std::uint64_t geometry_token_counter = 0;  ///< for callers minting tokens
-};
-
-/// One hop of a recorded reference route (see DeltaReference): the endpoint
-/// switch ids plus whether the reference run OPENED a new link for it (as
-/// opposed to reusing the pair's latest existing link). Island switch ids
-/// are stable across the candidates of one enumeration group (identical
-/// island partitions, built in identical order), which is what lets a
-/// recorded hop be replayed on an adjacent candidate's topology.
-struct DeltaHop {
-  int src = -1;
-  int dst = -1;
-  unsigned char open = 0;
-  friend bool operator==(const DeltaHop& a, const DeltaHop& b) {
-    return a.src == b.src && a.dst == b.dst && a.open == b.open;
-  }
+  /// Delta replay (see DeltaRouteState): per real island, whether its state
+  /// has diverged from the reference's; reset per pass.
+  std::vector<char> island_tainted;
+  /// Cross-flow detour bound: per intermediate switch, a distance bound.
+  std::vector<double> intermediate_lb;
 };
 
 /// The hop sequence of one routed flow, in path order. Empty when the
@@ -185,15 +193,15 @@ struct DeltaReference {
 
 /// Per-evaluation state of a delta (route-reuse) routing run; see
 /// route_all_flows. `ref` is the input; everything else is output counters
-/// and router-managed scratch. The router classifies each flow: intra-
-/// island flows of an island whose state is still IN SYNC with the
-/// reference's, and greedy-pass cross-island flows between two in-sync
-/// islands whose detour bound proves the intermediate switches cannot
-/// change the search (see router.cpp), are replayed from the record
-/// (flows_reused; or, under set_delta_cert_forced, re-derived by their own
-/// solo Dijkstra and verified against it — flows_certified); everything
-/// else routes live (flows_rerouted), and a live cross-island route whose
-/// hop sequence differs from the record's taints the islands it touches,
+/// (the router keeps its replay state in RouterScratch). The router
+/// classifies each flow: intra-island flows of an island whose state is
+/// still IN SYNC with the reference's, and greedy-pass cross-island flows
+/// between two in-sync islands whose detour bound proves the intermediate
+/// switches cannot change the search (see router.cpp), are replayed from
+/// the record (flows_reused; or, under set_delta_cert_forced, re-derived by
+/// their own solo Dijkstra and verified against it — flows_certified);
+/// everything else routes live (flows_rerouted), and a live route whose hop
+/// sequence differs from the record's taints the islands either touches,
 /// ending reuse for them.
 struct DeltaRouteState {
   const DeltaReference* ref = nullptr;
@@ -205,10 +213,6 @@ struct DeltaRouteState {
   int flows_certified = 0;  ///< forced-certificate mode: verified replays
   int flows_rerouted = 0;   ///< routed live (affected or tainted)
   int cert_rejects = 0;     ///< forced-certificate mismatches (expected 0)
-  /// Router-managed scratch (reset per pass, buffers reused).
-  std::vector<char> island_tainted;
-  std::vector<DeltaHop> actual_hops;
-  std::vector<double> intermediate_lb;  ///< per intermediate: distance bound
 };
 
 /// Cost-bound pruning input for one routing call (see vinoc/core/prune.hpp).

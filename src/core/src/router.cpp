@@ -30,14 +30,6 @@ constexpr double kMaxFinite = std::numeric_limits<double>::max();
 /// Router construction (never mid-flow).
 std::atomic<bool> g_delta_cert_forced{false};
 
-soc::IslandId island_of_switch(const NocTopology& topo, int sw) {
-  return topo.switches[static_cast<std::size_t>(sw)].island;
-}
-
-double switch_freq(const NocTopology& topo, int sw) {
-  return topo.switches[static_cast<std::size_t>(sw)].freq_hz;
-}
-
 }  // namespace
 
 bool set_delta_cert_forced(bool enabled) {
@@ -93,15 +85,18 @@ namespace {
 ///  * a RELAXATION is skipped outright when a scalar lower bound on the
 ///    full edge cost cannot beat dist[v] (see route_flow), so the skipped
 ///    relaxation provably would not have updated anything.
-/// Both leave results bit-identical to the naive dense loop.
+/// Both leave results bit-identical to the naive dense loop. The search
+/// (route_flow) yields the flow's hop list and one commit (commit_route)
+/// applies it; a delta replay commits a validated record through the same
+/// step.
 class Router {
  public:
   Router(NocTopology& topo, const soc::SocSpec& spec, const RouterOptions& opts,
          RouterScratch& scratch, const RouteBound* bound,
          DeltaReference* rec_out = nullptr, DeltaRouteState* delta = nullptr)
       : topo_(topo), spec_(spec), opts_(opts), scratch_(scratch), bound_(bound),
-        rec_out_(rec_out), delta_(delta), sw_model_(opts.tech),
-        link_model_(opts.tech), fifo_model_(opts.tech) {
+        rec_out_(rec_out), delta_(delta) {
+    const models::LinkModel link_model(opts.tech);
     const std::size_t n_sw = topo_.switches.size();
     n_ = n_sw;
     scratch_.ports_in.assign(n_sw, 0);
@@ -122,8 +117,9 @@ class Router {
       max_span = std::max({max_span, s.pos.x_mm, s.pos.y_mm});
     }
     const double ref_len = std::max(0.5, max_span / 2.0);
-    p_norm_ = link_model_.dynamic_power_w(ref_len, std::max(max_bw, 1.0)) +
-              fifo_model_.dynamic_power_w(std::max(max_bw, 1.0));
+    p_norm_ = link_model.dynamic_power_w(ref_len, std::max(max_bw, 1.0)) +
+              models::BisyncFifoModel(opts.tech).dynamic_power_w(
+                  std::max(max_bw, 1.0));
     if (p_norm_ <= 0.0) p_norm_ = 1e-3;
 
     // The edge-cost inner loop runs millions of times per sweep; hoist the
@@ -145,7 +141,7 @@ class Router {
     if (opts_.enforce_wire_timing) {
       for (std::size_t s = 0; s < n_sw; ++s) {
         scratch_.max_wire_len[s] =
-            link_model_.max_unpipelined_length_mm(topo_.switches[s].freq_hz);
+            link_model.max_unpipelined_length_mm(topo_.switches[s].freq_hz);
       }
     }
     // Flat copies of the per-switch hot fields (SwitchInst drags its core
@@ -163,8 +159,6 @@ class Router {
     if (bound_ != nullptr && bound_->front != nullptr) {
       power_lb_ = bound_->base_power_lb_w;
       lat_sum_lb_ = bound_->base_latency_sum_cycles;
-      fifo_w_per_bw_ = opts_.tech.fifo_energy_pj_per_bit * 1e-12;
-      link_w_per_bw_mm_ = opts_.tech.link_energy_pj_per_bit_mm * 1e-12;
     }
 
     // Per-island contiguous index ranges, so each flow's Dijkstra can visit
@@ -217,7 +211,7 @@ class Router {
                               delta_->ref->p_norm == p_norm_;
       delta_apply_ = delta_->pnorm_matched;
       if (delta_apply_) {
-        delta_->island_tainted.assign(spec.islands.size(), 0);
+        scratch_.island_tainted.assign(spec.islands.size(), 0);
         cert_forced_ = g_delta_cert_forced.load(std::memory_order_relaxed);
       }
     }
@@ -262,12 +256,6 @@ class Router {
       const bool ok = delta_apply_ && pos < delta_->ref->records.size()
                           ? delta_route_flow(pos, f, outcome)
                           : route_flow(f, outcome);
-      if (ok && rec_out_ != nullptr) {
-        // Pure observation: the routed hop sequence, reconstructed from the
-        // finished route (a link was opened by this flow iff the flow is
-        // its first user).
-        reconstruct_hops(f, rec_out_->records.emplace_back().hops);
-      }
       if (!ok) return outcome;
       ++outcome.flows_routed;
       if (bounding) {
@@ -312,6 +300,19 @@ class Router {
     p += scratch_.ebit_of[vs] * bw;
     if (cross) p += fifo_dyn_c_ * bw;
     return p;
+  }
+
+  /// The latency addends of `flow`'s edge cost for an intra-island and a
+  /// crossing hop: EXACTLY the second addend of choose_hop()'s cost (same
+  /// operations, same order), so each doubles as the bit-exact early-skip
+  /// threshold of a relaxation.
+  struct LatParts {
+    double intra;
+    double cross;
+  };
+  LatParts lat_parts(const soc::Flow& flow) const {
+    return {(1.0 - opts_.alpha_power) * (hop_lat_intra_ / flow.max_latency_cycles),
+            (1.0 - opts_.alpha_power) * (hop_lat_cross_ / flow.max_latency_cycles)};
   }
 
   /// Reuse-vs-open selection for one admissible hop u -> v: reuse the
@@ -359,11 +360,6 @@ class Router {
       choice.link = -1;
     }
     return choice;
-  }
-
-  bool crossing(int a, int b) const {
-    return scratch_.island_of[static_cast<std::size_t>(a)] !=
-           scratch_.island_of[static_cast<std::size_t>(b)];
   }
 
   double hop_length_mm(int a, int b) const {
@@ -505,17 +501,16 @@ class Router {
     }
   }
 
+  /// The one search: the flow's least-cost path over its admissible
+  /// switches, written to scratch_.hops (open = the search found no usable
+  /// link on the pair) and handed to commit_route().
   bool route_flow(std::size_t flow_idx, RouteOutcome& outcome) {
     const soc::Flow& flow = spec_.flows[flow_idx];
     const int s_sw = topo_.switch_of_core[static_cast<std::size_t>(flow.src)];
     const int d_sw = topo_.switch_of_core[static_cast<std::size_t>(flow.dst)];
-    FlowRoute& route = topo_.routes[flow_idx];
-    route.src_switch = s_sw;
-    route.dst_switch = d_sw;
-    if (s_sw == d_sw) {
-      route.latency_cycles = route_latency_cycles(topo_, route, opts_.tech);
-      return true;
-    }
+    std::vector<DeltaHop>& hops = scratch_.hops;
+    hops.clear();
+    if (s_sw == d_sw) return commit_route(flow_idx, hops, outcome);
 
     const std::size_t n = n_;
     const soc::IslandId src_isl =
@@ -526,14 +521,8 @@ class Router {
     // RoutingGeometry) — replaces the per-edge admissibility test.
     const RoutingGeometry::FlowClass& fclass = flow_class(src_isl, dst_isl);
 
-    // Per-flow constants of the edge cost. lat_part_* is EXACTLY the second
-    // addend of the cost formula below (same operations, same order), so it
-    // doubles as the bit-exact early-skip threshold of a relaxation.
     const double bw = flow.bandwidth_bits_per_s;
-    const double lat_part_intra =
-        (1.0 - opts_.alpha_power) * (hop_lat_intra_ / flow.max_latency_cycles);
-    const double lat_part_cross =
-        (1.0 - opts_.alpha_power) * (hop_lat_cross_ / flow.max_latency_cycles);
+    const LatParts lat = lat_parts(flow);
 
     // Only dist needs a per-flow reset: pred/pred_link are read exclusively
     // for nodes the CURRENT flow updated (the path walk follows this flow's
@@ -591,7 +580,7 @@ class Router {
             fclass.runs[static_cast<std::size_t>(rr)];
         if (forbid && run.direct_cross != 0) continue;
         const bool cross = run.crossing != 0;
-        const double latpart = cross ? lat_part_cross : lat_part_intra;
+        const double latpart = cross ? lat.cross : lat.intra;
         const double lat_thresh = dist_u + latpart;
         const double fifo_c = cross ? fifo_dyn_c_ : 0.0;
         for (int v = run.lo; v < run.hi; ++v) {
@@ -645,119 +634,31 @@ class Router {
       return false;
     }
 
-    // Materialize the path, opening links as needed.
-    std::vector<int>& rev_nodes = scratch_.path;
-    rev_nodes.clear();
+    // The path in order: walk the predecessor tree back from d_sw. A reuse
+    // hop's link is the pair's latest at commit time too, since the hops of
+    // one shortest path touch distinct switch pairs.
     for (int v = d_sw; v != s_sw; v = pred[static_cast<std::size_t>(v)]) {
-      rev_nodes.push_back(v);
+      const auto vs = static_cast<std::size_t>(v);
+      hops.push_back({pred[vs], v, static_cast<unsigned char>(pred_link[vs] < 0)});
     }
-    std::reverse(rev_nodes.begin(), rev_nodes.end());
-    int prev = s_sw;
-    for (const int v : rev_nodes) {
-      // An earlier hop of this same path may have opened a link or consumed
-      // ports, but hops of one shortest path touch distinct switches, so the
-      // cached choice stays valid.
-      int link_id = pred_link[static_cast<std::size_t>(v)];
-      if (link_id < 0) {
-        link_id = open_link(prev, v);
-      }
-      TopLink& l = topo_.links[static_cast<std::size_t>(link_id)];
-      l.carried_bw_bits_per_s += flow.bandwidth_bits_per_s;
-      l.flows.push_back(static_cast<int>(flow_idx));
-      route.links.push_back(link_id);
-      if (power_lb_ >= 0.0) {
-        accumulate_power_lb(prev, v, l, flow.bandwidth_bits_per_s,
-                            /*pass_through=*/v != d_sw);
-      }
-      prev = v;
-    }
-    route.crossings = 0;
-    for (const int l : route.links) {
-      if (topo_.links[static_cast<std::size_t>(l)].crosses_island) ++route.crossings;
-    }
-    route.latency_cycles = route_latency_cycles(topo_, route, opts_.tech);
-    if (route.latency_cycles > flow.max_latency_cycles + 1e-9) {
-      outcome.failure_reason = "latency violated for flow '" + flow.label +
-                               "' (" + std::to_string(route.latency_cycles) +
-                               " > " + std::to_string(flow.max_latency_cycles) + ")";
-      outcome.failed_flow = static_cast<int>(flow_idx);
-      outcome.latency_violation = true;
-      return false;
-    }
-    return true;
+    std::reverse(hops.begin(), hops.end());
+    return commit_route(flow_idx, hops, outcome);
   }
 
-  /// Rebuilds the hop sequence of a FINISHED route in path order: endpoint
-  /// switch ids per link plus whether THIS flow opened the link (it did iff
-  /// it is the link's first user — links record their users in routing
-  /// order). Shared by the delta recorder and the live-route comparison.
-  void reconstruct_hops(std::size_t flow_idx, std::vector<DeltaHop>& hops) const {
-    hops.clear();
-    const FlowRoute& route = topo_.routes[flow_idx];
-    for (const int lid : route.links) {
-      const TopLink& l = topo_.links[static_cast<std::size_t>(lid)];
-      DeltaHop h;
-      h.src = l.src_switch;
-      h.dst = l.dst_switch;
-      h.open = !l.flows.empty() && l.flows.front() == static_cast<int>(flow_idx)
-                   ? 1
-                   : 0;
-      hops.push_back(h);
-    }
-  }
-
-  /// Marks every REAL island touched by `hops` as diverged from the
-  /// reference: its incremental state no longer matches, so later intra-
-  /// island flows of that island must route live. (The intermediate VI
-  /// carries no intra-island flows; it needs no taint.)
-  void taint_hops(const std::vector<DeltaHop>& hops) {
-    for (const DeltaHop& h : hops) {
-      for (const int sw : {h.src, h.dst}) {
-        if (sw < 0 || sw >= static_cast<int>(n_)) continue;
-        const int isl = scratch_.island_of[static_cast<std::size_t>(sw)];
-        if (isl != kIntermediateIsland &&
-            static_cast<std::size_t>(isl) < delta_->island_tainted.size()) {
-          delta_->island_tainted[static_cast<std::size_t>(isl)] = 1;
-        }
-      }
-    }
-  }
-
-  /// Replays a recorded reference route onto the current topology without a
-  /// Dijkstra: open where the reference opened, reuse the pair's latest
-  /// link where it reused, with exactly the state mutations and bound
-  /// accounting the materialisation loop performs. Returns 1 when routed,
-  /// 0 on a latency violation (`outcome` filled, identically to the live
-  /// path), -1 when the record is not applicable (malformed chain or a
-  /// missing reuse link — never expected for an in-sync island; the caller
-  /// falls back to live routing).
-  int replay_recorded_flow(std::size_t flow_idx, const DeltaRouteRec& rec,
-                           int s_sw, int d_sw, RouteOutcome& outcome) {
-    // Validate before mutating anything.
-    if (rec.hops.empty() || rec.hops.front().src != s_sw ||
-        rec.hops.back().dst != d_sw) {
-      return -1;
-    }
-    int prev = s_sw;
-    for (const DeltaHop& h : rec.hops) {
-      if (h.src != prev || h.src < 0 || h.dst < 0 ||
-          h.src >= static_cast<int>(n_) || h.dst >= static_cast<int>(n_)) {
-        return -1;
-      }
-      if (h.open == 0 &&
-          scratch_.link_at[static_cast<std::size_t>(h.src) * n_ +
-                           static_cast<std::size_t>(h.dst)] < 0) {
-        return -1;
-      }
-      prev = h.dst;
-    }
-
+  /// The one commit, shared by live, replayed and certified flows: opens
+  /// (open hops) or reuses (the pair's latest link) each hop's link, adds
+  /// the flow's bandwidth, user entry and power-bound share, then counts
+  /// the crossings and checks the latency budget. A same-switch flow (no
+  /// hops) has no budget check. A successful commit is what a recording
+  /// run records.
+  bool commit_route(std::size_t flow_idx, const std::vector<DeltaHop>& hops,
+                    RouteOutcome& outcome) {
     const soc::Flow& flow = spec_.flows[flow_idx];
     FlowRoute& route = topo_.routes[flow_idx];
-    route.src_switch = s_sw;
-    route.dst_switch = d_sw;
+    route.src_switch = topo_.switch_of_core[static_cast<std::size_t>(flow.src)];
+    route.dst_switch = topo_.switch_of_core[static_cast<std::size_t>(flow.dst)];
     const double bw = flow.bandwidth_bits_per_s;
-    for (const DeltaHop& h : rec.hops) {
+    for (const DeltaHop& h : hops) {
       const int link_id =
           h.open != 0 ? open_link(h.src, h.dst)
                       : scratch_.link_at[static_cast<std::size_t>(h.src) * n_ +
@@ -766,24 +667,62 @@ class Router {
       l.carried_bw_bits_per_s += bw;
       l.flows.push_back(static_cast<int>(flow_idx));
       route.links.push_back(link_id);
+      if (l.crosses_island) ++route.crossings;
       if (power_lb_ >= 0.0) {
-        accumulate_power_lb(h.src, h.dst, l, bw, /*pass_through=*/h.dst != d_sw);
+        accumulate_power_lb(h.src, h.dst, l, bw,
+                            /*pass_through=*/h.dst != route.dst_switch);
       }
     }
-    route.crossings = 0;
-    for (const int l : route.links) {
-      if (topo_.links[static_cast<std::size_t>(l)].crosses_island) ++route.crossings;
-    }
     route.latency_cycles = route_latency_cycles(topo_, route, opts_.tech);
-    if (route.latency_cycles > flow.max_latency_cycles + 1e-9) {
+    if (!hops.empty() && route.latency_cycles > flow.max_latency_cycles + 1e-9) {
       outcome.failure_reason = "latency violated for flow '" + flow.label +
                                "' (" + std::to_string(route.latency_cycles) +
                                " > " + std::to_string(flow.max_latency_cycles) + ")";
       outcome.failed_flow = static_cast<int>(flow_idx);
       outcome.latency_violation = true;
-      return 0;
+      return false;
     }
-    return 1;
+    if (rec_out_ != nullptr) rec_out_->records.emplace_back().hops = hops;
+    return true;
+  }
+
+  /// True when `hops` can commit onto the current state as they are: a
+  /// chain from s_sw to d_sw over valid switch ids whose every reuse hop
+  /// finds a link on its pair. Always true for an in-sync island's record;
+  /// a record that fails it routes live.
+  bool record_fits(const std::vector<DeltaHop>& hops, int s_sw, int d_sw) const {
+    if (hops.empty() || hops.back().dst != d_sw) return false;
+    int prev = s_sw;
+    for (const DeltaHop& h : hops) {
+      if (h.src != prev || h.dst < 0 || h.dst >= static_cast<int>(n_)) {
+        return false;
+      }
+      if (h.open == 0 &&
+          scratch_.link_at[static_cast<std::size_t>(h.src) * n_ +
+                           static_cast<std::size_t>(h.dst)] < 0) {
+        return false;
+      }
+      prev = h.dst;
+    }
+    return true;
+  }
+
+  /// Marks every REAL island touched by `hops` as diverged from the
+  /// reference: its incremental state no longer matches, so later flows of
+  /// that island must route live. (The intermediate VI carries no
+  /// intra-island flows; it needs no taint.)
+  void taint_hops(const std::vector<DeltaHop>& hops) {
+    std::vector<char>& tainted = scratch_.island_tainted;
+    for (const DeltaHop& h : hops) {
+      for (const int sw : {h.src, h.dst}) {
+        if (sw < 0 || sw >= static_cast<int>(n_)) continue;
+        const int isl = scratch_.island_of[static_cast<std::size_t>(sw)];
+        if (isl != kIntermediateIsland &&
+            static_cast<std::size_t>(isl) < tainted.size()) {
+          tainted[static_cast<std::size_t>(isl)] = 1;
+        }
+      }
+    }
   }
 
   /// Lower bound on the cost choose_hop() assigns to the crossing hop
@@ -822,12 +761,12 @@ class Router {
   /// offers every destination switch more than D*, no intermediate ever
   /// improves a switch that pops at or below D*: those switches pop in the
   /// leader's order with the leader's distances and predecessors, and d_sw
-  /// pops at D* along the recorded path.
-  bool cross_detour_ruled_out(const DeltaRouteRec& rec, double bw,
-                              double max_latency_cycles, int s_sw, int d_sw,
-                              soc::IslandId src_isl, soc::IslandId dst_isl) {
+  /// pops at D* along the recorded path. `hops` has passed record_fits().
+  bool cross_detour_ruled_out(const std::vector<DeltaHop>& hops,
+                              const soc::Flow& flow, soc::IslandId src_isl,
+                              soc::IslandId dst_isl) {
     if (opts_.forbid_direct_cross || !delta_->ref->intermediate_free ||
-        !contiguous_ || rec.hops.empty()) {
+        !contiguous_) {
       return false;
     }
     const std::size_t n_islands = island_begin_.size() - 1;
@@ -837,17 +776,11 @@ class Router {
       const auto ws = static_cast<std::size_t>(w);
       if (scratch_.ports_in[ws] != 0 || scratch_.ports_out[ws] != 0) return false;
     }
-    const double lat_part_intra =
-        (1.0 - opts_.alpha_power) * (hop_lat_intra_ / max_latency_cycles);
-    const double lat_part_cross =
-        (1.0 - opts_.alpha_power) * (hop_lat_cross_ / max_latency_cycles);
+    const double bw = flow.bandwidth_bits_per_s;
+    const LatParts lat = lat_parts(flow);
 
     double d_star = 0.0;
-    int prev = s_sw;
-    for (const DeltaHop& h : rec.hops) {
-      if (h.src != prev || h.dst < 0 || h.dst >= static_cast<int>(n_)) {
-        return false;
-      }
+    for (const DeltaHop& h : hops) {
       const auto us = static_cast<std::size_t>(h.src);
       const auto vs = static_cast<std::size_t>(h.dst);
       const int u_isl = scratch_.island_of[us];
@@ -860,17 +793,15 @@ class Router {
       const HopChoice hc = choose_hop(
           us, vs, scratch_.freq_of[us],
           opts_.enforce_wire_timing ? scratch_.max_wire_len[us] : 0.0, cross,
-          hop_length_mm(h.src, h.dst), cross ? lat_part_cross : lat_part_intra,
-          bw, scratch_.link_at[us * n_ + vs]);
+          hop_length_mm(h.src, h.dst), cross ? lat.cross : lat.intra, bw,
+          scratch_.link_at[us * n_ + vs]);
       if (!std::isfinite(hc.cost) || (hc.link < 0) != (h.open != 0)) return false;
       d_star = d_star + hc.cost;
-      prev = h.dst;
     }
-    if (prev != d_sw) return false;
 
     const auto src_slot = static_cast<std::size_t>(src_isl);
     const auto dst_slot = static_cast<std::size_t>(dst_isl);
-    std::vector<double>& reach_lb = delta_->intermediate_lb;
+    std::vector<double>& reach_lb = scratch_.intermediate_lb;
     reach_lb.assign(static_cast<std::size_t>(int_hi - int_lo), kInf);
     double via_any = kInf;
     for (int w = int_lo; w < int_hi; ++w) {
@@ -878,12 +809,12 @@ class Router {
       for (int u = island_begin_[src_slot]; u < island_end_[src_slot]; ++u) {
         lb = std::min(lb, unwired_crossing_lb(static_cast<std::size_t>(u),
                                               static_cast<std::size_t>(w),
-                                              lat_part_cross, bw));
+                                              lat.cross, bw));
       }
       reach_lb[static_cast<std::size_t>(w - int_lo)] = lb;
       via_any = std::min(via_any, lb);
     }
-    via_any = via_any + lat_part_intra;
+    via_any = via_any + lat.intra;
     for (int w = int_lo; w < int_hi; ++w) {
       const double a_w =
           std::min(reach_lb[static_cast<std::size_t>(w - int_lo)], via_any);
@@ -891,7 +822,7 @@ class Router {
       for (int x = island_begin_[dst_slot]; x < island_end_[dst_slot]; ++x) {
         if (!(a_w + unwired_crossing_lb(static_cast<std::size_t>(w),
                                         static_cast<std::size_t>(x),
-                                        lat_part_cross, bw) >
+                                        lat.cross, bw) >
               d_star)) {
           return false;
         }
@@ -903,11 +834,11 @@ class Router {
   /// One flow of an armed delta run (see DeltaRouteState). UNTOUCHED flows
   /// — intra-island on an in-sync island, or greedy-pass cross-island
   /// between two in-sync islands with every intermediate detour ruled out
-  /// (cross_detour_ruled_out) — replay the record (or, under the forced
-  /// certificate, re-derive the path with their own solo Dijkstra and
-  /// verify it against the record). AFFECTED flows route live; a live
-  /// cross route whose hop sequence differs from the record's ends reuse
-  /// for every island either sequence touches.
+  /// (cross_detour_ruled_out) — commit their record without a search (or,
+  /// under the forced certificate, re-derive the path with their own solo
+  /// Dijkstra and verify it against the record). AFFECTED flows route live;
+  /// a live route whose hops differ from the record's ends reuse for every
+  /// island either hop list touches.
   bool delta_route_flow(std::size_t pos, std::size_t flow_idx,
                         RouteOutcome& outcome) {
     const soc::Flow& flow = spec_.flows[flow_idx];
@@ -922,55 +853,35 @@ class Router {
         spec_.cores[static_cast<std::size_t>(flow.src)].island;
     const soc::IslandId dst_isl =
         spec_.cores[static_cast<std::size_t>(flow.dst)].island;
-    const DeltaRouteRec& rec = delta_->ref->records[pos];
-    const bool intra = src_isl == dst_isl;
-    std::vector<char>& tainted = delta_->island_tainted;
-    const bool in_sync = tainted[static_cast<std::size_t>(src_isl)] == 0 &&
-                         tainted[static_cast<std::size_t>(dst_isl)] == 0;
-    if (in_sync &&
-        (intra || cross_detour_ruled_out(rec, flow.bandwidth_bits_per_s,
-                                         flow.max_latency_cycles, s_sw, d_sw,
-                                         src_isl, dst_isl))) {
-      if (cert_forced_) {
-        // Route-equivalence certificate: the flow's own solo Dijkstra over
-        // the current state (route_flow IS that Dijkstra). Acceptance proves
-        // the replay would have been bit-identical; a rejection taints the
-        // islands and keeps the certified path, so results never depend on
-        // the record being right.
-        if (!route_flow(flow_idx, outcome)) return false;
-        reconstruct_hops(flow_idx, delta_->actual_hops);
-        if (delta_->actual_hops == rec.hops) {
-          ++delta_->flows_certified;
-        } else {
-          ++delta_->cert_rejects;
-          ++delta_->flows_rerouted;
-          taint_hops(rec.hops);
-          taint_hops(delta_->actual_hops);
-        }
+    const std::vector<DeltaHop>& rec = delta_->ref->records[pos].hops;
+    const std::vector<char>& tainted = scratch_.island_tainted;
+    const bool replayable =
+        tainted[static_cast<std::size_t>(src_isl)] == 0 &&
+        tainted[static_cast<std::size_t>(dst_isl)] == 0 &&
+        record_fits(rec, s_sw, d_sw) &&
+        (src_isl == dst_isl || cross_detour_ruled_out(rec, flow, src_isl, dst_isl));
+    if (replayable && !cert_forced_) {
+      ++delta_->flows_reused;
+      return commit_route(flow_idx, rec, outcome);
+    }
+    // Live route. For a replayable flow this is the route-equivalence
+    // certificate (route_flow IS the flow's solo Dijkstra): a match proves
+    // the replay would have been bit-identical, and a mismatch keeps the
+    // live path, so results never depend on the record being right. A live
+    // route equal to the record leaves its islands in sync; any difference
+    // (typically: the intermediate VI absorbed a cross flow) diverges them.
+    if (!route_flow(flow_idx, outcome)) return false;
+    if (scratch_.hops == rec) {
+      if (replayable) {
+        ++delta_->flows_certified;
         return true;
       }
-      const int replayed = replay_recorded_flow(flow_idx, rec, s_sw, d_sw, outcome);
-      if (replayed >= 0) {
-        ++delta_->flows_reused;
-        return replayed != 0;
-      }
-      // Record not applicable (defensive; never expected while in sync):
-      // end reuse for these islands and route live below.
-      tainted[static_cast<std::size_t>(src_isl)] = 1;
-      tainted[static_cast<std::size_t>(dst_isl)] = 1;
+    } else {
+      if (replayable) ++delta_->cert_rejects;
+      taint_hops(rec);
+      taint_hops(scratch_.hops);
     }
-    if (!route_flow(flow_idx, outcome)) return false;
     ++delta_->flows_rerouted;
-    if (!intra) {
-      // A cross flow that routed exactly as the reference's record leaves
-      // every island it touched in sync; any difference (typically: the
-      // intermediate VI absorbed it) diverges them.
-      reconstruct_hops(flow_idx, delta_->actual_hops);
-      if (!(delta_->actual_hops == rec.hops)) {
-        taint_hops(rec.hops);
-        taint_hops(delta_->actual_hops);
-      }
-    }
     return true;
   }
 
@@ -983,11 +894,11 @@ class Router {
   /// the flow VISIT a switch its endpoint floor did not count.
   void accumulate_power_lb(int a, int b, const TopLink& l, double bw,
                            bool pass_through) {
-    const soc::IslandId a_isl = island_of_switch(topo_, a);
-    const soc::IslandId b_isl = island_of_switch(topo_, b);
-    if (a_isl != b_isl) power_lb_ += fifo_w_per_bw_ * bw;
+    const int a_isl = scratch_.island_of[static_cast<std::size_t>(a)];
+    const int b_isl = scratch_.island_of[static_cast<std::size_t>(b)];
+    if (a_isl != b_isl) power_lb_ += fifo_dyn_c_ * bw;
     if (a_isl != kIntermediateIsland && b_isl != kIntermediateIsland) {
-      power_lb_ += link_w_per_bw_mm_ * l.length_mm * bw;
+      power_lb_ += link_dyn_c_ * l.length_mm * bw;
     }
     if (pass_through && bound_->switch_ebit_floor != nullptr) {
       power_lb_ += (*bound_->switch_ebit_floor)[static_cast<std::size_t>(b)] * bw;
@@ -998,7 +909,8 @@ class Router {
     TopLink l;
     l.src_switch = a;
     l.dst_switch = b;
-    l.crosses_island = crossing(a, b);
+    l.crosses_island = scratch_.island_of[static_cast<std::size_t>(a)] !=
+                       scratch_.island_of[static_cast<std::size_t>(b)];
     l.length_mm = hop_length_mm(a, b);
     const int id = static_cast<int>(topo_.links.size());
     topo_.links.push_back(std::move(l));
@@ -1011,7 +923,8 @@ class Router {
     if (power_lb_ >= 0.0) {
       // The two new ports clock forever: their idle power is an exact,
       // monotone addition to the final switch dynamic power.
-      power_lb_ += idle_w_per_hz_ * (switch_freq(topo_, a) + switch_freq(topo_, b));
+      power_lb_ += idle_w_per_hz_ * (scratch_.freq_of[static_cast<std::size_t>(a)] +
+                                     scratch_.freq_of[static_cast<std::size_t>(b)]);
     }
     return id;
   }
@@ -1025,9 +938,6 @@ class Router {
   DeltaRouteState* delta_ = nullptr;   ///< delta replay state (member runs)
   bool delta_apply_ = false;  ///< delta armed: reference valid, p_norm equal
   bool cert_forced_ = false;  ///< verify every replay with its solo Dijkstra
-  models::SwitchModel sw_model_;
-  models::LinkModel link_model_;
-  models::BisyncFifoModel fifo_model_;
   std::size_t n_ = 0;
   double p_norm_ = 1.0;
   // Admissible-subset iteration (see route_flow).
@@ -1049,8 +959,6 @@ class Router {
   // Pruning state; power_lb_ < 0 means pruning disabled for this pass.
   double power_lb_ = -1.0;
   double lat_sum_lb_ = 0.0;
-  double fifo_w_per_bw_ = 0.0;
-  double link_w_per_bw_mm_ = 0.0;
 };
 
 /// Resets `g` for a new candidate topology: hop lengths and their energy

@@ -1,7 +1,8 @@
 // Tests for the flow router (Algorithm 1, step 15): link admissibility,
 // link opening/reuse, capacity, latency budgets, the structural
-// shutdown-safety rule, and agreement with a plain dense-scan reference
-// router on random multi-island topologies.
+// shutdown-safety rule, agreement with a plain dense-scan reference router
+// on random multi-island topologies, and live routing of delta records
+// that cannot replay as they are.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +11,9 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "vinoc/core/router.hpp"
 #include "vinoc/core/topology.hpp"
@@ -742,6 +745,104 @@ TEST(Router, MatchesDenseReferenceDijkstra) {
   EXPECT_GT(successes, 50) << failures << " failures";
   EXPECT_GT(failures, 50) << successes << " successes";
   EXPECT_GT(parallel_links, 0);
+}
+
+/// Three islands, island 0 with two switches (0 and 1, cores 0 and 3),
+/// islands 1 and 2 with one (switches 2 and 3, cores 1 and 2): laid out
+/// islands-ascending like synthesized topologies, so cross flows can
+/// replay. Flows route in the order 0->1, 1->2 and 0->2 (cross-island)
+/// with 0->3 (intra-island) third.
+Fixture replay_fixture() {
+  Fixture fx(3);
+  soc::CoreSpec c;
+  c.name = "core3";
+  c.island = 0;
+  fx.spec.cores.push_back(c);
+  SwitchInst sw;
+  sw.island = 0;
+  sw.freq_hz = 400e6;
+  sw.pos = {0.0, 0.5};
+  sw.cores = {3};
+  fx.topo.switches.insert(fx.topo.switches.begin() + 1, sw);
+  fx.topo.switch_of_core = {0, 2, 3, 1};
+  fx.topo.ni_wire_mm.push_back(0.5);
+  fx.opts.max_ports.push_back(8);
+  fx.add_flow(0, 1, 4e9, 30);
+  fx.add_flow(1, 2, 3e9, 30);
+  fx.add_flow(0, 3, 2e9, 30);
+  fx.add_flow(0, 2, 1e9, 30);
+  return fx;
+}
+
+TEST(Router, MisfitDeltaRecordsRouteLive) {
+  // A record that cannot commit as it is (broken chain, wrong endpoints, a
+  // reuse hop with no link on its pair, a switch id out of range) must
+  // route its flow live: earlier flows still replay, and the links and
+  // routes equal a run without delta.
+  Fixture plain = replay_fixture();
+  ASSERT_TRUE(route_all_flows(plain.topo, plain.spec, plain.opts).success);
+
+  Fixture recorded = replay_fixture();
+  DeltaReference ref;
+  ASSERT_TRUE(route_all_flows(recorded.topo, recorded.spec, recorded.opts,
+                              nullptr, nullptr, &ref)
+                  .success);
+  ASSERT_TRUE(ref.valid);
+  ASSERT_TRUE(ref.intermediate_free);
+  ASSERT_EQ(ref.records.size(), 4u);
+
+  using Hops = std::vector<DeltaHop>;
+  for (std::size_t pos : {2u, 3u}) {  // the intra flow, then the last cross
+    const int s = plain.topo.routes[pos].src_switch;
+    const int d = plain.topo.routes[pos].dst_switch;
+    const int other = s == 2 ? 3 : 2;
+    // No earlier flow opens a link on (s, d), so a reuse hop finds none.
+    for (const TopLink& l : plain.topo.links) {
+      ASSERT_FALSE(l.src_switch == s && l.dst_switch == d &&
+                   l.flows.front() < static_cast<int>(pos));
+    }
+    const std::vector<std::pair<const char*, Hops>> misfits = {
+        {"pristine", ref.records[pos].hops},
+        {"wrong endpoints", Hops{{d, s, 1}}},
+        {"broken chain", Hops{{s, other, 1}, {s, d, 1}}},
+        {"reuse without link", Hops{{s, d, 0}}},
+        {"switch out of range", Hops{{s, 7, 1}, {7, d, 1}}},
+        {"negative switch", Hops{{s, -1, 1}, {-1, d, 1}}},
+        {"empty", Hops{}},
+    };
+    for (const auto& [what, hops] : misfits) {
+      DeltaReference edited = ref;
+      edited.records[pos].hops = hops;
+      DeltaRouteState delta;
+      delta.ref = &edited;
+      Fixture fx = replay_fixture();
+      const RouteOutcome out =
+          route_all_flows(fx.topo, fx.spec, fx.opts, nullptr, nullptr, nullptr, &delta);
+      const bool pristine = std::string(what) == "pristine";
+      ASSERT_TRUE(out.success) << what << ": " << out.failure_reason;
+      EXPECT_TRUE(delta.pnorm_matched) << what;
+      EXPECT_EQ(delta.flows_reused, pristine ? 4 : static_cast<int>(pos)) << what;
+      EXPECT_EQ(delta.flows_reused + delta.flows_rerouted, 4) << what;
+      EXPECT_EQ(delta.cert_rejects, 0) << what;
+      ASSERT_EQ(fx.topo.links.size(), plain.topo.links.size()) << what;
+      for (std::size_t l = 0; l < plain.topo.links.size(); ++l) {
+        const TopLink& a = fx.topo.links[l];
+        const TopLink& b = plain.topo.links[l];
+        EXPECT_EQ(a.src_switch, b.src_switch) << what << " link " << l;
+        EXPECT_EQ(a.dst_switch, b.dst_switch) << what << " link " << l;
+        EXPECT_EQ(a.carried_bw_bits_per_s, b.carried_bw_bits_per_s) << what;
+        EXPECT_EQ(a.flows, b.flows) << what << " link " << l;
+      }
+      for (std::size_t f = 0; f < plain.topo.routes.size(); ++f) {
+        EXPECT_EQ(fx.topo.routes[f].links, plain.topo.routes[f].links)
+            << what << " flow " << f;
+        EXPECT_EQ(fx.topo.routes[f].latency_cycles,
+                  plain.topo.routes[f].latency_cycles)
+            << what << " flow " << f;
+        EXPECT_EQ(fx.topo.routes[f].crossings, plain.topo.routes[f].crossings);
+      }
+    }
+  }
 }
 
 TEST(Router, RejectsAlphaPowerOutsideUnitInterval) {

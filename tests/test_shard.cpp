@@ -2,8 +2,9 @@
 // wire framing (round-trips and a seeded mutation fuzzer), manifest
 // round-trips, the bit-identity store merger, the store-family verifier —
 // and end-to-end supervisor runs that exec the real CLI as campaign-worker
-// processes (VINOC_CLI_PATH), including crash chaos, the in-process
-// fallback and resume-after-merge.
+// processes (VINOC_CLI_PATH), including crash chaos, counters that survive
+// a killed worker, unrounded job timeouts, the in-process fallback and
+// resume-after-merge.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -25,6 +26,7 @@
 #include "vinoc/campaign/shard_merge.hpp"
 #include "vinoc/campaign/shard_supervisor.hpp"
 #include "vinoc/campaign/spec_hash.hpp"
+#include "vinoc/faultinject/faultinject.hpp"
 #include "vinoc/io/jsonl.hpp"
 #include "vinoc/io/obs_writers.hpp"
 #include "vinoc/io/shard_wire.hpp"
@@ -441,6 +443,72 @@ TEST(ShardSupervisor, SurvivesWorkerCrashWithIdenticalResults) {
   EXPECT_EQ(records_jsonl(sharded.campaign.records),
             records_jsonl(reference.records));
   EXPECT_TRUE(verify_stores(sopt.base.cache_dir).clean());
+}
+
+TEST(ShardSupervisor, WorkerKilledAfterAGroupKeepsStructureCounters) {
+  // One worker at one thread computes its width groups (two jobs each) in
+  // order and announces both jobs of a group when the group starts, so a
+  // shard_crash whose first fire is the third job start kills it right
+  // after its first group finished, before it could report any counters.
+  // Derived from the records, the structure counters survive that.
+  const TempDir dir("crash_groups");
+  const std::string spec_path = write_campaign_file(dir);
+  const CampaignSpec spec = small_campaign();
+
+  std::uint64_t seed = 0;
+  for (std::uint64_t s = 1; s < 1000 && seed == 0; ++s) {
+    ASSERT_TRUE(faultinject::configure("shard_crash:0.5", s));
+    int first_fire = 0;
+    for (int hit = 1; hit <= 3 && first_fire == 0; ++hit) {
+      if (faultinject::should_fire(faultinject::Site::kShardCrash)) {
+        first_fire = hit;
+      }
+    }
+    if (first_fire == 3) seed = s;
+  }
+  faultinject::reset();
+  ASSERT_NE(seed, 0u);
+
+  CampaignOptions ref;
+  ref.include_timing = false;
+  ref.threads = 1;
+  const CampaignResult reference = run_campaign(spec, ref);
+  ASSERT_GT(reference.structure_groups(), 1);
+
+  ::setenv("VINOC_FAULT", "shard_crash:0.5@1", 1);
+  ::setenv("VINOC_FAULT_SEED", std::to_string(seed).c_str(), 1);
+  ShardCampaignOptions sopt = sharded_options(dir, spec_path, 1);
+  sopt.base.threads = 1;
+  sopt.worker_threads = 1;
+  const ShardCampaignResult sharded = run_sharded_campaign(spec, sopt);
+  ::unsetenv("VINOC_FAULT");
+  ::unsetenv("VINOC_FAULT_SEED");
+
+  ASSERT_TRUE(sharded.merge.ok) << sharded.merge.error;
+  EXPECT_EQ(sharded.campaign.metrics.value("worker_crashes"), 1);
+  EXPECT_EQ(records_jsonl(sharded.campaign.records),
+            records_jsonl(reference.records));
+  EXPECT_EQ(sharded.campaign.structure_groups(), reference.structure_groups());
+  EXPECT_EQ(sharded.campaign.structure_shared_jobs(),
+            reference.structure_shared_jobs());
+}
+
+TEST(ShardSupervisor, SubMicrosecondJobTimeoutReachesWorkers) {
+  // Workers get the supervisor's --job-timeout unrounded: 100 ns times
+  // out every job, sharded as in-process.
+  const TempDir dir("timeout");
+  const std::string spec_path = write_campaign_file(dir);
+  const CampaignSpec spec = small_campaign();
+
+  ShardCampaignOptions sopt = sharded_options(dir, spec_path, 2);
+  sopt.base.job_timeout_s = 1e-7;
+  const ShardCampaignResult sharded = run_sharded_campaign(spec, sopt);
+
+  ASSERT_GT(sharded.campaign.jobs_total(), 0);
+  EXPECT_EQ(sharded.campaign.job_timeouts(), sharded.campaign.jobs_total());
+  for (const JobRecord& rec : sharded.campaign.records) {
+    EXPECT_EQ(rec.status, "timeout") << rec.job;
+  }
 }
 
 TEST(ShardSupervisor, ExhaustedCrashRetriesQuarantineTheJob) {
